@@ -22,6 +22,12 @@ cargo test -q --workspace --offline
 echo "== cargo build --release (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build -q --release --offline --workspace
 
+echo "== benchmark package builds against the current crates"
+# benchmark/ is its own workspace (path deps on crates/*), so the
+# workspace build above does not cover it; a public-API change in
+# crates/* must not break it unnoticed.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== bench smoke (one iteration per workload, emitted JSON validates)"
 BENCH_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$BENCH_SMOKE_DIR"' EXIT
@@ -55,7 +61,9 @@ cmp "$BENCH_SMOKE_DIR/digest.t1" "$BENCH_SMOKE_DIR/digest.t8"
 
 echo "== per-AP vs SoA equivalence (soa_sweep digests must match)"
 # The digest file carries one line per path; the region sweep must
-# produce byte-identical reports and memory images to the per-AP loop.
+# produce byte-identical reports and memory images to a loop of per-AP
+# execute calls (one-lane runs), whose stored words the bench itself
+# checks against the kernel's closed form.
 perap="$(awk '/^soa_sweep_1024ap digest_perap/ {print $3}' "$BENCH_SMOKE_DIR/digest.t1")"
 soa="$(awk '/^soa_sweep_1024ap digest_soa/ {print $3}' "$BENCH_SMOKE_DIR/digest.t1")"
 test -n "$perap"

@@ -1,36 +1,20 @@
-//! Execution of a configured datapath.
+//! A configured datapath in the flat form its engine runs.
 //!
 //! After acquirement the objects "are free from control" (§2.2): data
-//! simply flows through the chained operators. This module is the dataflow
-//! engine that makes a configured stream *run*:
-//!
-//! * every object is a node with up to two value ports and one predicate
-//!   port, single-token input latches, and a single-token output latch
-//!   (backpressure propagates naturally, as it would on gated channels);
-//! * operations fire when their inputs are present, take their
-//!   [`Operation::latency`](vlsi_object::Operation::latency) cycles, and
-//!   broadcast their result to every successor (fan-out over one granted
-//!   channel);
-//! * **memory objects** produce load streams and absorb store streams. A
-//!   `Load` with no address producer streams sequentially from its block
-//!   (base pointer in `regs[0]`, block index in `regs[1]`, element count in
-//!   `regs[2]`); a `Store` with no address producer writes sequentially the
-//!   same way. This is the "load and store streams" traffic the paper's
-//!   GOPS figure excludes (§4.1) and the Figure 7(d) mailbox pattern;
-//! * **steer** objects guard data-intensive datapaths from control flow:
-//!   they forward their value only when the predicate matches, which is
-//!   how `if (x>y) z=x+1 else z=y+2` becomes two speculative arms;
-//! * when the run drains, **release tokens** propagate from the stream
-//!   sources through the datapath (§2.2: "An object is released by
-//!   receiving and firing release token(s) from the preceding object(s)"),
-//!   yielding the release order the processor uses to free resources.
+//! simply flows through the chained operators. [`Datapath::build`]
+//! turns a configuration stream plus the resident objects into that
+//! chained graph, flattened once into parallel arrays — ids, ops,
+//! immediates, registers, wired-port flags, tap flags — and a CSR
+//! successor list. The resident processor keeps this form between
+//! runs: register state (memory stream pointers) advances in place and
+//! persists across executions, while everything transient lives only
+//! for one run of the [`SoaLane`](crate::soa::SoaLane) engine.
 
 use crate::error::ApError;
 use crate::metrics::ApMetrics;
 use std::collections::HashMap;
 use vlsi_object::{
-    GlobalConfigStream, LocalConfig, MemoryBlock, ObjectId, ObjectKind, Operation, Word,
-    PHYS_REGISTERS,
+    GlobalConfigStream, LocalConfig, ObjectId, ObjectKind, Operation, Word, PHYS_REGISTERS,
 };
 
 /// Static description of one datapath node, assembled from a bound object.
@@ -52,32 +36,6 @@ pub struct NodeSpec {
 pub(crate) const LHS: usize = 0;
 pub(crate) const RHS: usize = 1;
 pub(crate) const PRED: usize = 2;
-
-#[derive(Clone, Debug)]
-pub(crate) struct Node {
-    pub(crate) spec: NodeSpec,
-    pub(crate) srcs: [Option<usize>; 3],
-    pub(crate) succs: Vec<(usize, usize)>, // (node index, port)
-    inputs: [Option<Word>; 3],
-    in_flight: Option<(u32, Option<Word>)>,
-    out: Option<Word>,
-    produced: u64,
-    exhausted: bool,
-}
-
-impl Node {
-    fn is_stream_load(&self) -> bool {
-        self.spec.cfg.op == Operation::Load && self.srcs[LHS].is_none()
-    }
-
-    fn is_stream_store(&self) -> bool {
-        self.spec.cfg.op == Operation::Store && self.srcs[LHS].is_none()
-    }
-
-    fn stream_limit(&self) -> u64 {
-        self.spec.regs[2].as_u64()
-    }
-}
 
 /// Outcome of one datapath run.
 #[derive(Clone, Debug, Default)]
@@ -104,11 +62,24 @@ pub struct ExecutionReport {
     pub release_order: Vec<ObjectId>,
 }
 
-/// A configured, executable datapath.
-#[derive(Clone, Debug)]
+/// A configured datapath: one node per referenced object, in
+/// working-set order, as parallel arrays plus a CSR successor list.
+#[derive(Clone, Debug, Default)]
 pub struct Datapath {
-    pub(crate) nodes: Vec<Node>,
-    index: HashMap<ObjectId, usize>,
+    pub(crate) ids: Vec<ObjectId>,
+    kinds: Vec<ObjectKind>,
+    pub(crate) ops: Vec<Operation>,
+    pub(crate) imms: Vec<Word>,
+    /// Live register state; memory stream pointers advance across runs.
+    pub(crate) regs: Vec<[Word; PHYS_REGISTERS]>,
+    /// Which input ports are wired (stream detection, release counts).
+    pub(crate) has_src: Vec<[bool; 3]>,
+    /// CSR successor offsets, `len + 1` entries.
+    succ_start: Vec<u32>,
+    /// CSR successor payload: `(node index, port)`.
+    succ_list: Vec<(u32, u8)>,
+    /// Successor-less compute nodes whose outputs a run collects.
+    pub(crate) is_tap: Vec<bool>,
 }
 
 impl Datapath {
@@ -125,351 +96,86 @@ impl Datapath {
         if stream.is_empty() {
             return Err(ApError::EmptyDatapath);
         }
-        let mut dp = Datapath {
-            nodes: Vec::new(),
-            index: HashMap::new(),
-        };
         // First pass: materialise nodes for every referenced object.
-        for id in stream.working_set() {
-            let spec = resolve(id).ok_or(ApError::UndefinedSource(id))?;
-            let idx = dp.nodes.len();
-            dp.nodes.push(Node {
-                spec,
-                srcs: [None; 3],
-                succs: Vec::new(),
-                inputs: [None; 3],
-                in_flight: None,
-                out: None,
-                produced: 0,
-                exhausted: false,
-            });
-            dp.index.insert(id, idx);
-        }
+        let working_set = stream.working_set();
+        let index: HashMap<ObjectId, usize> = working_set
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, i))
+            .collect();
+        let specs = working_set
+            .into_iter()
+            .map(|id| resolve(id).ok_or(ApError::UndefinedSource(id)))
+            .collect::<Result<Vec<NodeSpec>, _>>()?;
+        let mut dp = Datapath {
+            ids: specs.iter().map(|s| s.id).collect(),
+            kinds: specs.iter().map(|s| s.kind).collect(),
+            ops: specs.iter().map(|s| s.cfg.op).collect(),
+            imms: specs.iter().map(|s| s.cfg.imm).collect(),
+            regs: specs.iter().map(|s| s.regs).collect(),
+            ..Datapath::default()
+        };
         // Second pass: wire ports.
+        let n = dp.ids.len();
+        dp.has_src = vec![[false; 3]; n];
+        let mut succs: Vec<Vec<(u32, u8)>> = vec![Vec::new(); n];
         for e in stream.elements() {
-            let sink = dp.index[&e.sink];
+            let sink = index[&e.sink];
             let ports = [(LHS, e.src_lhs), (RHS, e.src_rhs), (PRED, e.src_pred)];
             for (port, src) in ports {
                 let Some(src_id) = src else { continue };
-                let src_idx = dp.index[&src_id];
-                if dp.nodes[sink].srcs[port].is_none() {
-                    dp.nodes[sink].srcs[port] = Some(src_idx);
-                    dp.nodes[src_idx].succs.push((sink, port));
+                if !dp.has_src[sink][port] {
+                    dp.has_src[sink][port] = true;
+                    succs[index[&src_id]].push((sink as u32, port as u8));
                 }
             }
         }
+        // Flatten the successor lists.
+        dp.succ_start.reserve(n + 1);
+        for (op, s) in dp.ops.iter().zip(&succs) {
+            dp.succ_start.push(dp.succ_list.len() as u32);
+            dp.succ_list.extend_from_slice(s);
+            dp.is_tap.push(s.is_empty() && !op.is_memory_op());
+        }
+        dp.succ_start.push(dp.succ_list.len() as u32);
         Ok(dp)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
     /// Whether the datapath has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.ids.is_empty()
+    }
+
+    /// Node `i`'s successors as `(node index, port)`.
+    pub(crate) fn succs(&self, i: usize) -> &[(u32, u8)] {
+        &self.succ_list[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
     }
 
     /// IDs of tap nodes (compute nodes with no successors) whose outputs
     /// the report collects.
     pub fn tap_ids(&self) -> Vec<ObjectId> {
-        self.nodes
+        self.ids
             .iter()
-            .filter(|n| n.succs.is_empty() && !n.spec.cfg.op.is_memory_op())
-            .map(|n| n.spec.id)
+            .zip(&self.is_tap)
+            .filter(|(_, &tap)| tap)
+            .map(|(&id, _)| id)
             .collect()
     }
 
-    /// Runs the datapath until it drains or `max_cycles` elapse.
-    ///
-    /// `memory` is the AP's array of memory blocks, indexed by each memory
-    /// node's `regs[1]`. Tap outputs are capped at `tap_limit` values per
-    /// tap; a datapath whose only sinks are taps drains when every tap has
-    /// `tap_limit` values (pure streams would otherwise never finish).
-    pub fn run(
-        &mut self,
-        memory: &mut [MemoryBlock],
-        tap_limit: u64,
-        max_cycles: u64,
-    ) -> Result<ExecutionReport, ApError> {
-        // A resident datapath can run repeatedly: clear the transient
-        // dataflow state (latches, in-flight ops, production counters) but
-        // keep the register state — stream pointers advance across runs.
-        for n in &mut self.nodes {
-            n.inputs = [None; 3];
-            n.in_flight = None;
-            n.out = None;
-            n.produced = 0;
-            n.exhausted = false;
-        }
-        let mut report = ExecutionReport::default();
-        for id in self.tap_ids() {
-            report.taps.insert(id, Vec::new());
-        }
-        for cycle in 0..max_cycles {
-            let mut activity = false;
-
-            // Phase 1: deliver outputs to successor latches (broadcast with
-            // backpressure: the output clears only when all successors have
-            // accepted).
-            for i in 0..self.nodes.len() {
-                let Some(v) = self.nodes[i].out else { continue };
-                if self.nodes[i].succs.is_empty() {
-                    // A tap: collect.
-                    let id = self.nodes[i].spec.id;
-                    if let Some(vals) = report.taps.get_mut(&id) {
-                        if (vals.len() as u64) < tap_limit {
-                            vals.push(v);
-                            activity = true;
-                        }
-                    }
-                    self.nodes[i].out = None;
-                    self.nodes[i].produced += 1;
-                    continue;
-                }
-                let succs = self.nodes[i].succs.clone();
-                let all_free = succs
-                    .iter()
-                    .all(|&(s, p)| self.nodes[s].inputs[p].is_none());
-                if all_free {
-                    for (s, p) in succs {
-                        self.nodes[s].inputs[p] = Some(v);
-                    }
-                    self.nodes[i].out = None;
-                    self.nodes[i].produced += 1;
-                    activity = true;
-                }
-            }
-
-            // Phase 2: retire in-flight operations whose latency elapsed.
-            for n in &mut self.nodes {
-                if let Some((remaining, result)) = n.in_flight {
-                    if remaining <= 1 {
-                        n.in_flight = None;
-                        if let Some(v) = result {
-                            debug_assert!(n.out.is_none());
-                            n.out = Some(v);
-                        }
-                        activity = true;
-                    } else {
-                        n.in_flight = Some((remaining - 1, result));
-                        activity = true;
-                    }
-                }
-            }
-
-            // Phase 3: fire ready nodes.
-            for i in 0..self.nodes.len() {
-                if self.try_fire(i, memory, &mut report)? {
-                    *report
-                        .node_firings
-                        .entry(self.nodes[i].spec.id)
-                        .or_insert(0) += 1;
-                    activity = true;
-                }
-            }
-
-            report.cycles = cycle + 1;
-            if !activity {
-                report.drained = true;
-                break;
-            }
-        }
-        if !report.drained {
-            // The cycle budget elapsed with work still in flight.
-            return Err(ApError::ExecutionTimeout {
-                cycles: report.cycles,
-            });
-        }
-        self.fire_release_tokens(&mut report);
-        Ok(report)
-    }
-
-    /// Attempts to fire node `i`. Returns whether it fired.
-    fn try_fire(
-        &mut self,
-        i: usize,
-        memory: &mut [MemoryBlock],
-        report: &mut ExecutionReport,
-    ) -> Result<bool, ApError> {
-        let n = &self.nodes[i];
-        if n.in_flight.is_some() || n.out.is_some() || n.exhausted {
-            return Ok(false);
-        }
-        let op = n.spec.cfg.op;
-        let imm = n.spec.cfg.imm;
-        match op {
-            Operation::Const => {
-                // A constant regenerates whenever downstream consumed it,
-                // up to its stream limit (regs[2]; 0 = one-shot).
-                let limit = n.spec.regs[2].as_u64().max(1);
-                if n.produced >= limit {
-                    self.nodes[i].exhausted = true;
-                    return Ok(false);
-                }
-                self.nodes[i].in_flight = Some((op.latency(), Some(imm)));
-                report.firings += 1;
-                Ok(true)
-            }
-            Operation::Load => {
-                if self.nodes[i].is_stream_load() {
-                    let limit = self.nodes[i].stream_limit();
-                    if limit != 0
-                        && self.nodes[i].produced + u64::from(self.nodes[i].in_flight.is_some())
-                            >= limit
-                    {
-                        self.nodes[i].exhausted = true;
-                        return Ok(false);
-                    }
-                    let block = self.nodes[i].spec.regs[1].as_u64() as usize;
-                    let addr = self.nodes[i].spec.regs[0].as_u64();
-                    let mem = memory
-                        .get_mut(block)
-                        .ok_or(ApError::UndefinedSource(self.nodes[i].spec.id))?;
-                    let v = mem.load(addr)?;
-                    self.nodes[i].spec.regs[0] = Word(addr + 1);
-                    self.nodes[i].in_flight = Some((op.latency(), Some(v)));
-                    report.loads += 1;
-                    report.firings += 1;
-                    Ok(true)
-                } else {
-                    // Addressed load: wait for the address token.
-                    let Some(addr_tok) = self.nodes[i].inputs[LHS] else {
-                        return Ok(false);
-                    };
-                    self.nodes[i].inputs[LHS] = None;
-                    let block = self.nodes[i].spec.regs[1].as_u64() as usize;
-                    let base = self.nodes[i].spec.regs[0].as_u64();
-                    let mem = memory
-                        .get_mut(block)
-                        .ok_or(ApError::UndefinedSource(self.nodes[i].spec.id))?;
-                    let v = mem.load(base + addr_tok.as_u64())?;
-                    self.nodes[i].in_flight = Some((op.latency(), Some(v)));
-                    report.loads += 1;
-                    report.firings += 1;
-                    Ok(true)
-                }
-            }
-            Operation::Store => {
-                let Some(data) = self.nodes[i].inputs[RHS] else {
-                    return Ok(false);
-                };
-                let addr = if self.nodes[i].is_stream_store() {
-                    let a = self.nodes[i].spec.regs[0].as_u64();
-                    self.nodes[i].spec.regs[0] = Word(a + 1);
-                    a
-                } else {
-                    let Some(addr_tok) = self.nodes[i].inputs[LHS] else {
-                        return Ok(false);
-                    };
-                    self.nodes[i].inputs[LHS] = None;
-                    addr_tok.as_u64()
-                };
-                self.nodes[i].inputs[RHS] = None;
-                let block = self.nodes[i].spec.regs[1].as_u64() as usize;
-                let mem = memory
-                    .get_mut(block)
-                    .ok_or(ApError::UndefinedSource(self.nodes[i].spec.id))?;
-                mem.store(addr, data)?;
-                // Stores produce no token; model latency as instant retire.
-                self.nodes[i].produced += 1;
-                report.stores += 1;
-                report.firings += 1;
-                Ok(true)
-            }
-            Operation::SteerTrue | Operation::SteerFalse => {
-                let (Some(v), Some(p)) = (self.nodes[i].inputs[LHS], self.nodes[i].inputs[PRED])
-                else {
-                    return Ok(false);
-                };
-                self.nodes[i].inputs[LHS] = None;
-                self.nodes[i].inputs[PRED] = None;
-                let pass = p.as_bool() == (op == Operation::SteerTrue);
-                report.firings += 1;
-                if pass {
-                    self.nodes[i].in_flight = Some((op.latency(), Some(v)));
-                } else {
-                    // Token consumed silently; the arm stays dark.
-                }
-                Ok(true)
-            }
-            Operation::Merge => {
-                let port = if self.nodes[i].inputs[LHS].is_some() {
-                    LHS
-                } else if self.nodes[i].inputs[RHS].is_some() {
-                    RHS
-                } else {
-                    return Ok(false);
-                };
-                let v = self.nodes[i].inputs[port].take().unwrap();
-                self.nodes[i].in_flight = Some((op.latency(), Some(v)));
-                report.firings += 1;
-                Ok(true)
-            }
-            _ => {
-                // Plain value operation: all declared ports must hold tokens.
-                let arity = op.arity();
-                let need_lhs = arity >= 1;
-                let need_rhs = arity >= 2;
-                if (need_lhs && self.nodes[i].inputs[LHS].is_none())
-                    || (need_rhs && self.nodes[i].inputs[RHS].is_none())
-                {
-                    return Ok(false);
-                }
-                let lhs = if need_lhs {
-                    self.nodes[i].inputs[LHS].take().unwrap()
-                } else {
-                    Word::ZERO
-                };
-                let rhs = if need_rhs {
-                    self.nodes[i].inputs[RHS].take().unwrap()
-                } else {
-                    Word::ZERO
-                };
-                let result = op
-                    .eval(lhs, rhs, imm)
-                    .expect("context-free operation must evaluate");
-                self.nodes[i].in_flight = Some((op.latency(), Some(result)));
-                report.firings += 1;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Propagates release tokens from the sources through the graph,
-    /// recording the release order. Sources (no wired inputs) fire first;
-    /// every node releases after receiving a token from each predecessor.
-    fn fire_release_tokens(&self, report: &mut ExecutionReport) {
-        let n = self.nodes.len();
-        let mut pending: Vec<usize> = self
-            .nodes
-            .iter()
-            .map(|node| node.srcs.iter().flatten().count())
-            .collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
-        let mut head = 0;
-        while head < queue.len() {
-            let i = queue[head];
-            head += 1;
-            report.release_order.push(self.nodes[i].spec.id);
-            report.release_tokens += 1;
-            for &(s, _) in &self.nodes[i].succs {
-                // One token per edge.
-                report.release_tokens += 1;
-                pending[s] -= 1;
-                if pending[s] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
-        // Nodes on cycles never receive all tokens; they are released by
-        // force at the end (the paper's datapaths are acyclic).
-        for (node, &p) in self.nodes.iter().zip(&pending) {
-            if p > 0 {
-                report.release_order.push(node.spec.id);
-            }
-        }
+    /// The nodes with their live register state (memory stream pointers
+    /// advance across runs), in node order.
+    pub fn specs(&self) -> impl Iterator<Item = NodeSpec> + '_ {
+        (0..self.len()).map(|i| NodeSpec {
+            id: self.ids[i],
+            cfg: LocalConfig::with_imm(self.ops[i], self.imms[i]),
+            kind: self.kinds[i],
+            regs: self.regs[i],
+        })
     }
 
     /// Folds a report into the processor metrics.
@@ -480,29 +186,13 @@ impl Datapath {
         m.stores += report.stores;
         m.release_tokens += report.release_tokens;
     }
-
-    /// Writes live register state back into specs (memory stream pointers
-    /// advance across runs). Exposed so the processor can persist state to
-    /// the bound objects.
-    pub fn specs(&self) -> impl Iterator<Item = &NodeSpec> {
-        self.nodes.iter().map(|n| &n.spec)
-    }
-
-    /// Writes register state produced by a batch run back into the node
-    /// specs, exactly as [`run`](Self::run) mutates them in place —
-    /// stream pointers must advance across runs on either path.
-    pub(crate) fn write_back_regs(&mut self, regs: &[[Word; PHYS_REGISTERS]]) {
-        debug_assert_eq!(regs.len(), self.nodes.len());
-        for (n, r) in self.nodes.iter_mut().zip(regs) {
-            n.spec.regs = *r;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlsi_object::GlobalConfigElement;
+    use crate::soa::SoaLane;
+    use vlsi_object::{GlobalConfigElement, MemoryBlock};
 
     fn compute_spec(id: u32, op: Operation, imm: u64) -> NodeSpec {
         NodeSpec {
@@ -526,20 +216,33 @@ mod tests {
         }
     }
 
+    /// Runs `dp` once over `memory`; returns the datapath (with its
+    /// advanced registers), the memory, and the report.
+    fn run(
+        dp: Datapath,
+        memory: Vec<MemoryBlock>,
+        tap_limit: u64,
+        max_cycles: u64,
+    ) -> (Datapath, Vec<MemoryBlock>, ExecutionReport) {
+        let mut lane = SoaLane::new(dp, memory);
+        lane.run(tap_limit, max_cycles);
+        let (dp, memory, outcome) = lane.finish();
+        (dp, memory, outcome.unwrap())
+    }
+
     /// const(5) -> addimm(+3) -> tap
     #[test]
     fn constant_through_addimm() {
         let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
             .into_iter()
             .collect();
-        let mut dp = Datapath::build(&stream, |id| match id.0 {
+        let dp = Datapath::build(&stream, |id| match id.0 {
             0 => Some(compute_spec(0, Operation::Const, 5)),
             1 => Some(compute_spec(1, Operation::AddImm, 3)),
             _ => None,
         })
         .unwrap();
-        let mut mem: Vec<MemoryBlock> = Vec::new();
-        let report = dp.run(&mut mem, 1, 10_000).unwrap();
+        let (_, _, report) = run(dp, Vec::new(), 1, 10_000);
         assert!(report.drained);
         assert_eq!(report.taps[&ObjectId(1)], vec![Word(8)]);
     }
@@ -558,7 +261,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut dp = Datapath::build(&stream, |id| match id.0 {
+        let dp = Datapath::build(&stream, |id| match id.0 {
             0 => Some(mem_spec(0, Operation::Load, 0, 0, 8)),
             1 => Some(compute_spec(1, Operation::MulImm, 2)),
             2 => Some(mem_spec(2, Operation::Store, 100, 0, 0)),
@@ -569,7 +272,7 @@ mod tests {
         for i in 0..8 {
             mem[0].store(i, Word(i + 1)).unwrap();
         }
-        let report = dp.run(&mut mem, 0, 10_000).unwrap();
+        let (_, mem, report) = run(dp, mem, 0, 10_000);
         assert!(report.drained);
         assert_eq!(report.loads, 8);
         assert_eq!(report.stores, 8);
@@ -607,14 +310,11 @@ mod tests {
             })
             .unwrap()
         };
-        let mut mem: Vec<MemoryBlock> = Vec::new();
         // x=9 > y=4: z = x+1 = 10.
-        let mut dp = build(9, 4);
-        let r = dp.run(&mut mem, 1, 10_000).unwrap();
+        let (_, _, r) = run(build(9, 4), Vec::new(), 1, 10_000);
         assert_eq!(r.taps[&ObjectId(7)], vec![Word(10)]);
         // x=2 < y=5: z = y+2 = 7.
-        let mut dp = build(2, 5);
-        let r = dp.run(&mut mem, 1, 10_000).unwrap();
+        let (_, _, r) = run(build(2, 5), Vec::new(), 1, 10_000);
         assert_eq!(r.taps[&ObjectId(7)], vec![Word(7)]);
     }
 
@@ -627,15 +327,15 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut dp = Datapath::build(&stream, |id| match id.0 {
+        let dp = Datapath::build(&stream, |id| match id.0 {
             0 => Some(compute_spec(0, Operation::Const, 10)),
             1 => Some(compute_spec(1, Operation::AddImm, 1)),
             2 => Some(compute_spec(2, Operation::AddImm, 2)),
             _ => None,
         })
         .unwrap();
-        let mut mem: Vec<MemoryBlock> = Vec::new();
-        let r = dp.run(&mut mem, 1, 10_000).unwrap();
+        assert_eq!(dp.tap_ids(), vec![ObjectId(1), ObjectId(2)]);
+        let (_, _, r) = run(dp, Vec::new(), 1, 10_000);
         assert_eq!(r.taps[&ObjectId(1)], vec![Word(11)]);
         assert_eq!(r.taps[&ObjectId(2)], vec![Word(12)]);
     }
@@ -648,7 +348,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut dp = Datapath::build(&stream, |id| {
+        let dp = Datapath::build(&stream, |id| {
             Some(compute_spec(
                 id.0,
                 if id.0 == 0 {
@@ -660,8 +360,7 @@ mod tests {
             ))
         })
         .unwrap();
-        let mut mem: Vec<MemoryBlock> = Vec::new();
-        let r = dp.run(&mut mem, 1, 10_000).unwrap();
+        let (_, _, r) = run(dp, Vec::new(), 1, 10_000);
         assert_eq!(r.release_order, vec![ObjectId(0), ObjectId(1), ObjectId(2)]);
         // tokens: 3 node firings + 2 edge deliveries
         assert_eq!(r.release_tokens, 5);
@@ -689,24 +388,47 @@ mod tests {
 
     #[test]
     fn timeout_on_starved_datapath() {
-        // A binary op with only one producer never fires, but the const
-        // keeps regenerating; cap taps so the run quiesces... here the
-        // add never fires so the tap stays empty and const fills the
-        // add's lhs latch once; then everything stalls -> drained, not
-        // timeout. Verify the drained-with-no-output case.
+        // A binary op with only one producer never fires: the const
+        // fills the add's lhs latch once, then everything stalls. The
+        // run drains (it does not time out) with an empty tap.
         let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
             .into_iter()
             .collect();
-        let mut dp = Datapath::build(&stream, |id| match id.0 {
+        let dp = Datapath::build(&stream, |id| match id.0 {
             0 => Some(compute_spec(0, Operation::Const, 1)),
             1 => Some(compute_spec(1, Operation::IAdd, 0)), // rhs never arrives
             _ => None,
         })
         .unwrap();
-        let mut mem: Vec<MemoryBlock> = Vec::new();
-        let r = dp.run(&mut mem, 1, 1_000).unwrap();
+        let (_, _, r) = run(dp, Vec::new(), 1, 1_000);
         assert!(r.drained);
         assert!(r.taps[&ObjectId(1)].is_empty());
+    }
+
+    #[test]
+    fn unbounded_stream_times_out_at_the_budget() {
+        // An unbounded const into a tap with an enormous limit never
+        // drains: the run fails typed, after exactly the budget.
+        let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
+            .into_iter()
+            .collect();
+        let dp = Datapath::build(&stream, |id| match id.0 {
+            0 => {
+                let mut s = compute_spec(0, Operation::Const, 5);
+                s.regs[2] = Word(u64::MAX); // effectively unbounded
+                Some(s)
+            }
+            1 => Some(compute_spec(1, Operation::Pass, 0)),
+            _ => None,
+        })
+        .unwrap();
+        let mut lane = SoaLane::new(dp, Vec::new());
+        lane.run(u64::MAX, 50);
+        let (_, _, outcome) = lane.finish();
+        assert_eq!(
+            outcome.unwrap_err(),
+            ApError::ExecutionTimeout { cycles: 50 }
+        );
     }
 
     #[test]
@@ -723,15 +445,14 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut dp = Datapath::build(&stream, |id| match id.0 {
+        let dp = Datapath::build(&stream, |id| match id.0 {
             0 => Some(mem_spec(0, Operation::Load, 0, 0, 8)),
             1 => Some(compute_spec(1, Operation::MulImm, 2)),
             2 => Some(mem_spec(2, Operation::Store, 100, 0, 0)),
             _ => None,
         })
         .unwrap();
-        let mut mem = vec![MemoryBlock::new()];
-        let report = dp.run(&mut mem, 0, 10_000).unwrap();
+        let (_, _, report) = run(dp, vec![MemoryBlock::new()], 0, 10_000);
         for id in [0u32, 1, 2] {
             assert_eq!(report.node_firings[&ObjectId(id)], 8, "obj{id}");
         }
@@ -743,7 +464,7 @@ mod tests {
         let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
             .into_iter()
             .collect();
-        let mut dp = Datapath::build(&stream, |id| match id.0 {
+        let dp = Datapath::build(&stream, |id| match id.0 {
             0 => Some(mem_spec(0, Operation::Load, 5, 0, 3)),
             1 => Some(compute_spec(1, Operation::Pass, 0)),
             _ => None,
@@ -753,11 +474,14 @@ mod tests {
         for i in 0..10 {
             mem[0].store(i, Word(100 + i)).unwrap();
         }
-        let r = dp.run(&mut mem, 10, 10_000).unwrap();
+        let (dp, mem, r) = run(dp, mem, 10, 10_000);
         assert_eq!(r.taps[&ObjectId(1)], vec![Word(105), Word(106), Word(107)]);
-        // The stream pointer advanced past the consumed words.
+        // The stream pointer advanced past the consumed words, and a
+        // second run of the resident datapath continues from there.
         let spec = dp.specs().find(|s| s.id == ObjectId(0)).unwrap();
         assert_eq!(spec.regs[0], Word(8));
+        let (_, _, r) = run(dp, mem, 10, 10_000);
+        assert_eq!(r.taps[&ObjectId(1)], vec![Word(108), Word(109), Word(0)]);
     }
 
     #[test]
@@ -769,7 +493,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut dp = Datapath::build(&stream, |id| match id.0 {
+        let dp = Datapath::build(&stream, |id| match id.0 {
             0 => Some(compute_spec(0, Operation::Const, 7)),
             1 => Some(mem_spec(1, Operation::Load, 0, 0, 0)),
             2 => Some(compute_spec(2, Operation::Pass, 0)),
@@ -778,7 +502,7 @@ mod tests {
         .unwrap();
         let mut mem = vec![MemoryBlock::new()];
         mem[0].store(7, Word(0x77)).unwrap();
-        let r = dp.run(&mut mem, 1, 10_000).unwrap();
+        let (_, _, r) = run(dp, mem, 1, 10_000);
         assert_eq!(r.taps[&ObjectId(2)], vec![Word(0x77)]);
     }
 }

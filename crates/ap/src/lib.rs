@@ -17,15 +17,16 @@
 //! * [`pipeline`] — the five pipeline stages (pointer update, request
 //!   fetch, request evaluation, request, acquirement) with object
 //!   cache-miss handling through the configuration buffers;
-//! * [`datapath`] — execution of a configured datapath: dataflow firing,
-//!   steering, memory load/store streams, and release tokens (§2.3);
+//! * [`datapath`] — a configured datapath, built once from the
+//!   configuration stream into flat arrays and kept resident between
+//!   runs;
 //! * [`processor`] — [`AdaptiveProcessor`], gluing the above to the object
 //!   library and memory blocks, including virtual hardware (swap-in/out,
 //!   §2.5);
-//! * [`soa`] — struct-of-arrays batch execution: a datapath flattened
-//!   into a [`SoaLane`] of parallel slabs so a region executor can
-//!   advance many APs in one cache-friendly sweep per tick, bit-identical
-//!   to the per-AP path;
+//! * [`soa`] — the datapath engine: a [`SoaLane`] runs one datapath over
+//!   its memory blocks — dataflow firing, steering, memory load/store
+//!   streams, and release tokens (§2.3). Every execution is a lane run,
+//!   alone or many at once in a region sweep;
 //! * [`metrics`] — counters every layer reports into.
 
 #![deny(missing_docs)]

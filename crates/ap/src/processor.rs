@@ -393,34 +393,22 @@ impl AdaptiveProcessor {
         self.execute_datapath(self.datapaths.len() - 1, tap_limit, max_cycles)
     }
 
-    /// Runs resident datapath `index` (configuration order).
+    /// Runs resident datapath `index` (configuration order) as a
+    /// one-lane run of the datapath engine.
     pub fn execute_datapath(
         &mut self,
         index: usize,
         tap_limit: u64,
         max_cycles: u64,
     ) -> Result<ExecutionReport, ApError> {
-        let Some(resident) = self.datapaths.get_mut(index) else {
-            return Err(ApError::EmptyDatapath);
-        };
-        let report = resident.dp.run(&mut self.memory, tap_limit, max_cycles)?;
-        // Persist advanced register state (stream pointers) back into the
-        // bound objects so a later swap-out writes it to the library.
-        let specs: Vec<NodeSpec> = resident.dp.specs().cloned().collect();
-        for spec in specs {
-            if let Some(b) = self.stack.get_mut(spec.id) {
-                b.regs = spec.regs;
-            } else if let Some(b) = self.memory_binds.iter_mut().find(|b| b.id() == spec.id) {
-                b.regs = spec.regs;
-            }
-        }
-        Datapath::report_metrics(&report, &mut self.metrics);
-        Ok(report)
+        let mut lane = self.begin_batch_at(index)?;
+        lane.run(tap_limit, max_cycles);
+        self.finish_batch(lane)
     }
 
     /// Detaches the most recently configured datapath (plus this AP's
-    /// memory blocks) into a [`SoaLane`] for struct-of-arrays batch
-    /// execution. The lane must come back through
+    /// memory blocks) into a [`SoaLane`] for a region executor to run.
+    /// The lane must come back through
     /// [`finish_batch`](Self::finish_batch) — until then the AP has no
     /// memory and must not execute.
     pub fn begin_batch(&mut self) -> Result<SoaLane, ApError> {
@@ -433,33 +421,32 @@ impl AdaptiveProcessor {
     /// Detaches resident datapath `index` (configuration order) into a
     /// [`SoaLane`] — see [`begin_batch`](Self::begin_batch).
     pub fn begin_batch_at(&mut self, index: usize) -> Result<SoaLane, ApError> {
-        let Some(resident) = self.datapaths.get(index) else {
+        let Some(resident) = self.datapaths.get_mut(index) else {
             return Err(ApError::EmptyDatapath);
         };
-        let mut lane = SoaLane::from_datapath(&resident.dp, index);
-        lane.attach_memory(std::mem::take(&mut self.memory));
+        let mut lane = SoaLane::new(
+            std::mem::take(&mut resident.dp),
+            std::mem::take(&mut self.memory),
+        );
+        lane.datapath_index = index;
         Ok(lane)
     }
 
-    /// Reattaches a completed [`SoaLane`]: memory comes home, advanced
-    /// register state (stream pointers) is written back into the
-    /// datapath and persisted to the bound objects, and metrics fold in
-    /// — exactly the bookkeeping [`execute_datapath`](Self::execute_datapath)
-    /// does after a per-AP run. On a failed lane the register write-back
-    /// into the datapath still happens (the per-AP path mutates specs in
-    /// place as it runs) but nothing is persisted and no metrics fold,
-    /// matching the early-return error path.
+    /// Reattaches a [`SoaLane`]: memory and the datapath (with its
+    /// advanced register state) come home; on success the registers
+    /// (stream pointers) are persisted to the bound objects, so a later
+    /// swap-out writes them to the library, and metrics fold in. A
+    /// failed lane persists nothing and folds no metrics.
     pub fn finish_batch(&mut self, lane: SoaLane) -> Result<ExecutionReport, ApError> {
         let index = lane.datapath_index;
-        let (memory, regs, outcome) = lane.finish();
+        let (dp, memory, outcome) = lane.finish();
         self.memory = memory;
         let Some(resident) = self.datapaths.get_mut(index) else {
             return Err(ApError::EmptyDatapath);
         };
-        resident.dp.write_back_regs(&regs);
+        resident.dp = dp;
         let report = outcome?;
-        let specs: Vec<NodeSpec> = resident.dp.specs().cloned().collect();
-        for spec in specs {
+        for spec in resident.dp.specs() {
             if let Some(b) = self.stack.get_mut(spec.id) {
                 b.regs = spec.regs;
             } else if let Some(b) = self.memory_binds.iter_mut().find(|b| b.id() == spec.id) {

@@ -1,7 +1,7 @@
 //! Edge cases of the dataflow execution engine.
 
 use vlsi_ap::datapath::{Datapath, NodeSpec};
-use vlsi_ap::ApError;
+use vlsi_ap::{ApError, ExecutionReport, SoaLane};
 use vlsi_object::{
     GlobalConfigElement, GlobalConfigStream, LocalConfig, MemoryBlock, ObjectId, ObjectKind,
     Operation, Word, PHYS_REGISTERS,
@@ -29,6 +29,19 @@ fn mem(id: u32, op: Operation, base: u64, block: u64, len: u64) -> NodeSpec {
     }
 }
 
+/// Runs `dp` once over `memory`; returns the memory and the outcome.
+fn run(
+    dp: Datapath,
+    memory: Vec<MemoryBlock>,
+    tap_limit: u64,
+    max_cycles: u64,
+) -> (Vec<MemoryBlock>, Result<ExecutionReport, ApError>) {
+    let mut lane = SoaLane::new(dp, memory);
+    lane.run(tap_limit, max_cycles);
+    let (_, memory, outcome) = lane.finish();
+    (memory, outcome)
+}
+
 #[test]
 fn backpressure_does_not_lose_or_duplicate_tokens() {
     // Fast producer (latency-1 pass chain) into a slow consumer (fdiv,
@@ -45,7 +58,7 @@ fn backpressure_does_not_lose_or_duplicate_tokens() {
     ]
     .into_iter()
     .collect();
-    let mut dp = Datapath::build(&stream, |id| match id.0 {
+    let dp = Datapath::build(&stream, |id| match id.0 {
         0 => Some(mem(0, Operation::Load, 0, 0, 20)),
         1 => Some(compute(1, Operation::Pass, 0)),
         2 => Some(compute(2, Operation::MulImm, 3)), // 3-cycle stage
@@ -57,7 +70,8 @@ fn backpressure_does_not_lose_or_duplicate_tokens() {
     for i in 0..20 {
         memory[0].store(i, Word(i + 1)).unwrap();
     }
-    let report = dp.run(&mut memory, 0, 100_000).unwrap();
+    let (memory, report) = run(dp, memory, 0, 100_000);
+    let report = report.unwrap();
     assert!(report.drained);
     assert_eq!(report.loads, 20);
     assert_eq!(report.stores, 20);
@@ -74,15 +88,14 @@ fn steer_that_never_passes_produces_nothing() {
         [GlobalConfigElement::unary(ObjectId(2), ObjectId(0)).with_pred(ObjectId(1))]
             .into_iter()
             .collect();
-    let mut dp = Datapath::build(&stream, |id| match id.0 {
+    let dp = Datapath::build(&stream, |id| match id.0 {
         0 => Some(compute(0, Operation::Const, 5)),
         1 => Some(compute(1, Operation::Const, 0)), // false predicate
         2 => Some(compute(2, Operation::SteerTrue, 0)),
         _ => None,
     })
     .unwrap();
-    let mut memory = Vec::new();
-    let report = dp.run(&mut memory, 4, 100_000).unwrap();
+    let report = run(dp, Vec::new(), 4, 100_000).1.unwrap();
     assert!(report.drained);
     assert!(report.taps[&ObjectId(2)].is_empty());
     assert!(report.firings >= 3, "consts and the steer all fired");
@@ -97,15 +110,14 @@ fn merge_prefers_lhs_but_drains_both() {
     )]
     .into_iter()
     .collect();
-    let mut dp = Datapath::build(&stream, |id| match id.0 {
+    let dp = Datapath::build(&stream, |id| match id.0 {
         0 => Some(compute(0, Operation::Const, 100)),
         1 => Some(compute(1, Operation::Const, 200)),
         2 => Some(compute(2, Operation::Merge, 0)),
         _ => None,
     })
     .unwrap();
-    let mut memory = Vec::new();
-    let report = dp.run(&mut memory, 4, 100_000).unwrap();
+    let report = run(dp, Vec::new(), 4, 100_000).1.unwrap();
     assert!(report.drained);
     let vals = &report.taps[&ObjectId(2)];
     assert_eq!(vals.len(), 2, "both constants pass the merge");
@@ -118,14 +130,13 @@ fn out_of_range_memory_block_errors() {
     let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
         .into_iter()
         .collect();
-    let mut dp = Datapath::build(&stream, |id| match id.0 {
+    let dp = Datapath::build(&stream, |id| match id.0 {
         0 => Some(mem(0, Operation::Load, 0, 7, 4)),
         1 => Some(compute(1, Operation::Pass, 0)),
         _ => None,
     })
     .unwrap();
-    let mut memory = vec![MemoryBlock::new()];
-    assert!(dp.run(&mut memory, 4, 100_000).is_err());
+    assert!(run(dp, vec![MemoryBlock::new()], 4, 100_000).1.is_err());
 }
 
 #[test]
@@ -135,14 +146,13 @@ fn load_past_the_block_end_errors() {
         .collect();
     // Base at the last word, but a 4-element stream: the second load
     // walks off the 8192-word block.
-    let mut dp = Datapath::build(&stream, |id| match id.0 {
+    let dp = Datapath::build(&stream, |id| match id.0 {
         0 => Some(mem(0, Operation::Load, 8191, 0, 4)),
         1 => Some(compute(1, Operation::Pass, 0)),
         _ => None,
     })
     .unwrap();
-    let mut memory = vec![MemoryBlock::new()];
-    match dp.run(&mut memory, 10, 100_000) {
+    match run(dp, vec![MemoryBlock::new()], 10, 100_000).1 {
         Err(ApError::Object(_)) => {}
         other => panic!("expected an address error, got {other:?}"),
     }
@@ -153,7 +163,7 @@ fn zero_cycle_budget_times_out() {
     let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(0))]
         .into_iter()
         .collect();
-    let mut dp = Datapath::build(&stream, |id| {
+    let dp = Datapath::build(&stream, |id| {
         Some(compute(
             id.0,
             if id.0 == 0 {
@@ -165,9 +175,8 @@ fn zero_cycle_budget_times_out() {
         ))
     })
     .unwrap();
-    let mut memory = Vec::new();
     assert!(matches!(
-        dp.run(&mut memory, 1, 0),
+        run(dp, Vec::new(), 1, 0).1,
         Err(ApError::ExecutionTimeout { cycles: 0 })
     ));
 }
@@ -180,7 +189,7 @@ fn deep_chains_scale_linearly_not_quadratically() {
     let stream: GlobalConfigStream = (1..=stages)
         .map(|i| GlobalConfigElement::unary(ObjectId(i), ObjectId(i - 1)))
         .collect();
-    let mut dp = Datapath::build(&stream, |id| {
+    let dp = Datapath::build(&stream, |id| {
         Some(compute(
             id.0,
             if id.0 == 0 {
@@ -192,8 +201,7 @@ fn deep_chains_scale_linearly_not_quadratically() {
         ))
     })
     .unwrap();
-    let mut memory = Vec::new();
-    let report = dp.run(&mut memory, 1, 100_000).unwrap();
+    let report = run(dp, Vec::new(), 1, 100_000).1.unwrap();
     assert_eq!(
         report.taps[&ObjectId(stages)],
         vec![Word(1 + u64::from(stages))]

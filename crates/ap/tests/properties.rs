@@ -73,42 +73,62 @@ proptest! {
         }
     }
 
-    /// Streaming execution and scalar execution compute the same value for
-    /// a random linear chain of unary operations.
+    /// Streaming execution and scalar execution compute the same values
+    /// for a random DAG over one constant source: unary and binary
+    /// operations, each operand drawn from any earlier node, so chains,
+    /// shared operands and fan-out all occur. Every tap of the streamed
+    /// run must equal the scalar evaluator's value for that object.
     #[test]
     fn streaming_equals_scalar_on_chains(
         seed_value in 0u64..1000,
-        ops in prop::collection::vec((0usize..4, 1u64..10), 1..10)
+        ops in prop::collection::vec((0usize..7, 1u64..10, 0usize..64, 0usize..64), 1..10)
     ) {
-        let unary = [Operation::AddImm, Operation::MulImm, Operation::INot, Operation::Pass];
-        // Build objects: 0 = const, i = unary op i.
+        let table = [
+            Operation::AddImm,
+            Operation::MulImm,
+            Operation::INot,
+            Operation::Pass,
+            Operation::IAdd,
+            Operation::IMul,
+            Operation::ICmpGt,
+        ];
+        // Build objects: 0 = const, i = operation i.
         let mut objects = vec![LogicalObject::compute(
             ObjectId(0),
             LocalConfig::with_imm(Operation::Const, Word(seed_value)),
         )];
-        for (i, &(op_idx, imm)) in ops.iter().enumerate() {
-            objects.push(LogicalObject::compute(
-                ObjectId(i as u32 + 1),
-                LocalConfig::with_imm(unary[op_idx], Word(imm)),
-            ));
+        let mut elements = Vec::with_capacity(ops.len());
+        for (i, &(op_idx, imm, a, b)) in ops.iter().enumerate() {
+            let op = table[op_idx];
+            let id = ObjectId(i as u32 + 1);
+            objects.push(LogicalObject::compute(id, LocalConfig::with_imm(op, Word(imm))));
+            // Operands come from earlier nodes only (ids 0..=i).
+            let lhs = ObjectId((a % (i + 1)) as u32);
+            let rhs = ObjectId((b % (i + 1)) as u32);
+            elements.push(if op.arity() == 2 {
+                GlobalConfigElement::binary(id, lhs, rhs)
+            } else {
+                GlobalConfigElement::unary(id, lhs)
+            });
         }
-        let stream: GlobalConfigStream = (1..=ops.len() as u32)
-            .map(|i| GlobalConfigElement::unary(ObjectId(i), ObjectId(i - 1)))
-            .collect();
-        let last = ObjectId(ops.len() as u32);
+        let stream: GlobalConfigStream = elements.into_iter().collect();
 
         // Streaming run.
         let mut p1 = AdaptiveProcessor::new(ApConfig::default());
         p1.install(objects.clone()).unwrap();
         p1.configure(stream.clone()).unwrap();
         let report = p1.execute(1, 1_000_000).unwrap();
-        let streamed = report.taps[&last][0];
+        prop_assert!(report.drained);
 
         // Scalar run.
         let mut p2 = AdaptiveProcessor::new(ApConfig::default());
         p2.install(objects).unwrap();
         let values = p2.execute_scalar(&stream).unwrap();
-        prop_assert_eq!(streamed, values[&last]);
+        let last = ObjectId(ops.len() as u32);
+        prop_assert!(report.taps.contains_key(&last), "the last node is a tap");
+        for (id, streamed) in &report.taps {
+            prop_assert_eq!(streamed.as_slice(), &[values[id]][..], "tap {:?}", id);
+        }
     }
 
     /// Configure → release → configure is stable: the second configuration

@@ -31,8 +31,9 @@
 //!   in `BENCH_ingest.json`.
 //! * **soa** — the AP hot-loop sweep: 1024 two-by-two-cluster APs
 //!   filling a 64×64 die, each streaming a load→mul→store kernel,
-//!   executed once through the per-AP loop and once through the
-//!   struct-of-arrays region sweep ([`soa_sweep`]); the two execution
+//!   executed once as a loop of per-AP `execute` calls (one-lane runs)
+//!   and once as one region sweep ([`soa_sweep`]); every stored word is
+//!   checked against the kernel's closed form, the two execution
 //!   digests must be identical (the ci.sh equivalence step compares
 //!   them) and the execution-only timings land in `BENCH_soa.json`,
 //!   alongside the 128×128 chaos mix that exercises the packed switch
@@ -571,7 +572,7 @@ const SOA_STREAM_LEN: u64 = 256;
 pub struct SoaSweepReport {
     /// APs in the region.
     pub lanes: u64,
-    /// Per-AP execute loop, execution-only nanoseconds.
+    /// Per-AP execute loop (one-lane runs), execution-only nanoseconds.
     pub perap_ns: u64,
     /// SoA region sweep, execution-only nanoseconds.
     pub soa_ns: u64,
@@ -583,7 +584,7 @@ pub struct SoaSweepReport {
 
 /// Gathers `lanes` 2×2 APs on a `width × width` die, installs the
 /// stream kernel (stream-load `SOA_STREAM_LEN` words from block 0 →
-/// six-stage ALU chain → stream-store back to block 0 past the inputs)
+/// six-stage ALU chain → stream-store into block 1 at `SOA_STREAM_LEN`)
 /// in each, fills block 0 through the mailbox, and activates +
 /// configures everything. The chain is deep enough that each lane's
 /// datapath state is a real working set — the regime the SoA layout is
@@ -652,9 +653,20 @@ fn soa_ready_chip(width: u16, lanes: usize, threads: usize) -> (VlsiChip, Vec<Pr
     (chip, ids)
 }
 
+/// The memory block each [`soa_sweep`] lane's Store object owns: it is
+/// the AP's second memory object, so `install` binds it to block 1.
+const SOA_OUT_BLOCK: usize = 1;
+
+/// The [`soa_sweep`] kernel's closed form for lane `k`'s input `x`.
+fn soa_kernel(k: usize, x: u64) -> u64 {
+    let v = !(x.wrapping_mul(3 + k as u64 % 5).wrapping_add(7));
+    !(v.wrapping_mul(5).wrapping_add(k as u64 % 7))
+}
+
 /// FNV digest over every lane's report (taps and node firings sorted by
 /// object id) and the stored output words read back through the
-/// mailbox. Deactivates each processor to read its memory.
+/// mailbox. Deactivates each processor to read its memory, and panics
+/// unless every output word equals the kernel's closed form.
 fn sweep_digest(chip: &mut VlsiChip, ids: &[ProcessorId], reports: &[ExecutionReport]) -> u64 {
     let mut text = String::new();
     for (i, (&id, r)) in ids.iter().zip(reports).enumerate() {
@@ -670,17 +682,21 @@ fn sweep_digest(chip: &mut VlsiChip, ids: &[ProcessorId], reports: &[ExecutionRe
         );
         chip.deactivate(id).expect("deactivate for readback");
         let out = chip
-            .read_mailbox(id, 0, SOA_STREAM_LEN, SOA_STREAM_LEN as usize)
+            .read_mailbox(id, SOA_OUT_BLOCK, SOA_STREAM_LEN, SOA_STREAM_LEN as usize)
             .expect("read outputs");
+        for (j, w) in out.iter().enumerate() {
+            let x = (i as u64).wrapping_mul(1_000_003).wrapping_add(j as u64);
+            assert_eq!(w.as_u64(), soa_kernel(i, x), "lane {i} output word {j}");
+        }
         let _ = writeln!(text, "{i} out {out:?}");
     }
     fnv1a(text.as_bytes())
 }
 
 /// The SoA sweep workload: the same `lanes`-AP region executed twice
-/// from identical setups — once through the per-AP `execute` loop,
-/// once through `execute_batch`'s struct-of-arrays region sweep on a
-/// `threads`-wide pool. Only the execution phase is timed (gathering
+/// from identical setups — once through a loop of per-AP `execute`
+/// calls (each a one-lane run of the engine), once through
+/// `execute_batch`'s region sweep on a `threads`-wide pool. Only the execution phase is timed (gathering
 /// and configuring 1024 APs dwarfs the sweep itself); the digests pin
 /// both paths to the same reports and the same memory image.
 pub fn soa_sweep(threads: usize, lanes: usize, width: u16) -> SoaSweepReport {

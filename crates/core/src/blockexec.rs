@@ -23,6 +23,7 @@ use crate::chip::VlsiChip;
 use crate::error::CoreError;
 use crate::scaled::ProcessorId;
 use std::collections::HashMap;
+use std::sync::Arc;
 use vlsi_object::{
     GlobalConfigElement, GlobalConfigStream, LocalConfig, LogicalObject, ObjectId, Operation, Word,
 };
@@ -32,7 +33,8 @@ use vlsi_workloads::program::{BasicBlock, BlockDatapath, Terminator};
 #[derive(Clone, Debug)]
 struct DeployedBlock {
     proc: ProcessorId,
-    stream: GlobalConfigStream,
+    /// Shared with the AP on every activation's configure.
+    stream: Arc<GlobalConfigStream>,
     /// live-in var → memory-block index holding its mailbox word.
     input_blocks: Vec<(String, usize)>,
     /// live-out var → tap (probe) object.
@@ -96,7 +98,7 @@ impl BlockExecutor {
             chip.install(id, lowered.objects)?;
             deployed.push(Some(DeployedBlock {
                 proc: id,
-                stream: lowered.stream,
+                stream: Arc::new(lowered.stream),
                 input_blocks: lowered.input_blocks,
                 output_taps: lowered.output_taps,
                 cond_tap: lowered.cond_tap,
@@ -179,8 +181,11 @@ impl BlockExecutor {
         let mut steps = 0usize;
         loop {
             steps += 1;
-            assert!(steps <= self.blocks.len() + 1);
-            let block = &self.blocks[cur];
+            let block = self.blocks.get(cur).ok_or(CoreError::UnknownBlock(cur))?;
+            // An acyclic walk enters each block at most once.
+            if steps > self.blocks.len() {
+                return Err(CoreError::BlockCycle { block: cur });
+            }
             let mut cond_value = None;
             if let Some(d) = &self.deployed[cur] {
                 for (var, mem_block) in &d.input_blocks {
@@ -189,7 +194,7 @@ impl BlockExecutor {
                     stats.mailbox_writes += 1;
                 }
                 chip.activate(d.proc)?;
-                let cfg = chip.configure(d.proc, d.stream.clone())?;
+                let cfg = chip.configure(d.proc, Arc::clone(&d.stream))?;
                 stats.config_cycles += cfg.cycles;
                 let report = chip.execute(d.proc, 1, 1_000_000)?;
                 stats.exec_cycles += report.cycles;
@@ -206,9 +211,10 @@ impl BlockExecutor {
                             }))?;
                     env.insert(var.clone(), vals[0].as_i64());
                 }
-                if let Some(tap) = d.cond_tap {
-                    cond_value = Some(report.taps[&tap][0].as_i64());
-                }
+                cond_value = d
+                    .cond_tap
+                    .and_then(|tap| report.taps.get(&tap)?.first())
+                    .map(|w| w.as_i64());
                 chip.deactivate(d.proc)?;
             }
             match &block.terminator {
@@ -218,7 +224,7 @@ impl BlockExecutor {
                     then_block,
                     else_block,
                 } => {
-                    let c = cond_value.expect("branching block computes a condition");
+                    let c = cond_value.ok_or(CoreError::MissingCondition { block: cur })?;
                     cur = if c != 0 { *then_block } else { *else_block };
                 }
             }
@@ -318,6 +324,84 @@ mod tests {
     use super::*;
     use vlsi_topology::Cluster;
     use vlsi_workloads::figure7;
+    use vlsi_workloads::program::{BinOp, Expr};
+
+    /// `x = x + 1`, ending in `terminator`.
+    fn increment(id: usize, cond: Option<Expr>, terminator: Terminator) -> BasicBlock {
+        BasicBlock {
+            id,
+            assigns: vec![(
+                "x".into(),
+                Expr::bin(BinOp::Add, Expr::var("x"), Expr::Const(1)),
+            )],
+            cond,
+            terminator,
+        }
+    }
+
+    /// A block with no assignments (nothing is deployed for it).
+    fn empty(id: usize, terminator: Terminator) -> BasicBlock {
+        BasicBlock {
+            id,
+            assigns: Vec::new(),
+            cond: None,
+            terminator,
+        }
+    }
+
+    fn run_blocks(blocks: Vec<BasicBlock>) -> Result<HashMap<String, i64>, CoreError> {
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let exec = BlockExecutor::deploy(&mut chip, blocks).unwrap();
+        let inputs = HashMap::from([("x".to_string(), 1i64)]);
+        exec.run(&mut chip, &inputs).map(|(env, _)| env)
+    }
+
+    #[test]
+    fn back_edge_is_a_typed_error() {
+        let blocks = vec![
+            increment(0, None, Terminator::Jump(1)),
+            empty(1, Terminator::Jump(0)),
+        ];
+        assert_eq!(run_blocks(blocks), Err(CoreError::BlockCycle { block: 0 }));
+    }
+
+    #[test]
+    fn out_of_range_target_is_a_typed_error() {
+        let jump = vec![increment(0, None, Terminator::Jump(5))];
+        assert_eq!(run_blocks(jump), Err(CoreError::UnknownBlock(5)));
+        let branch = vec![increment(
+            0,
+            Some(Expr::var("x")),
+            Terminator::Branch {
+                then_block: 1,
+                else_block: 9,
+            },
+        )];
+        assert_eq!(run_blocks(branch), Err(CoreError::UnknownBlock(1)));
+        assert_eq!(run_blocks(Vec::new()), Err(CoreError::UnknownBlock(0)));
+    }
+
+    #[test]
+    fn branch_without_a_condition_is_a_typed_error() {
+        let branch = Terminator::Branch {
+            then_block: 1,
+            else_block: 1,
+        };
+        // A computing block with no condition expression.
+        let blocks = vec![
+            increment(0, None, branch.clone()),
+            empty(1, Terminator::End),
+        ];
+        assert_eq!(
+            run_blocks(blocks),
+            Err(CoreError::MissingCondition { block: 0 })
+        );
+        // An empty block that branches.
+        assert_eq!(
+            run_blocks(vec![empty(0, branch), empty(1, Terminator::End)]),
+            Err(CoreError::MissingCondition { block: 0 })
+        );
+    }
 
     #[test]
     fn figure7_runs_on_four_processors() {

@@ -23,7 +23,7 @@
 //! * [`region`] — the SoA region executor behind
 //!   [`VlsiChip::execute_batch`]: whole regions of APs advanced in one
 //!   cache-friendly sweep per tick, row-striped across a worker pool,
-//!   bit-identical to the per-AP path.
+//!   bit-identical to running each AP alone.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -3,10 +3,9 @@
 //! [`VlsiChip::execute_batch`](crate::chip::VlsiChip::execute_batch)
 //! detaches each named processor's configured datapath (plus its memory
 //! blocks) into a [`SoaLane`] — flat struct-of-arrays slabs — and hands
-//! the whole set here. [`sweep_lanes`] advances them *lane-major*: each
+//! the whole set here. [`sweep_lanes`] runs them *lane-major*: each
 //! lane's dense arrays are driven front-to-back to completion while
-//! they are hot in cache, which is the behaviour the per-AP
-//! pointer-chasing loop can't deliver at 1024-AP scale.
+//! they are hot in cache, then the sweep moves to the next lane.
 //!
 //! ## Sharding and determinism
 //!
@@ -17,50 +16,41 @@
 //! lane's state, the result of every lane is a pure function of that
 //! lane alone: any stripe partition, any thread count, and the serial
 //! path all produce byte-identical lanes. The ci.sh thread-matrix gate
-//! (`soa_sweep` digest at 1/2/8 threads) and the per-AP-vs-SoA
+//! (`soa_sweep` digest at 1/2/8 threads) and the one-lane-loop-vs-sweep
 //! equivalence step hold this to one byte pattern.
 
 use std::sync::Mutex;
 use vlsi_ap::SoaLane;
 use vlsi_par::Pool;
 
-/// Arms every lane with `tap_limit` / `max_cycles` and sweeps them all
-/// to completion (drain, typed failure, or cycle-budget timeout —
-/// recorded per lane, surfaced when the lane is dissolved).
+/// Runs every lane with `tap_limit` / `max_cycles` to completion
+/// (drain, typed failure, or cycle-budget timeout — recorded per lane,
+/// surfaced when the lane is dissolved).
 ///
 /// With a serial pool, one stripe sweeps inline; with a threaded pool,
 /// contiguous stripes of lanes sweep concurrently, bit-identical to the
 /// serial schedule.
 pub fn sweep_lanes(pool: &Pool, lanes: &mut [SoaLane], tap_limit: u64, max_cycles: u64) {
-    for lane in lanes.iter_mut() {
-        lane.start(tap_limit, max_cycles);
-    }
     if lanes.is_empty() {
         return;
     }
     let stripes = pool.threads().clamp(1, lanes.len());
     if stripes <= 1 {
-        sweep_stripe(lanes);
+        sweep_stripe(lanes, tap_limit, max_cycles);
         return;
     }
     let per = lanes.len().div_ceil(stripes);
     let chunks: Vec<Mutex<&mut [SoaLane]>> = lanes.chunks_mut(per).map(Mutex::new).collect();
     pool.run(chunks.len(), &|i| {
         let mut stripe = chunks[i].lock().expect("stripe lock");
-        sweep_stripe(&mut stripe);
+        sweep_stripe(&mut stripe, tap_limit, max_cycles);
     });
 }
 
-/// Sweeps one stripe lane-major: each lane's flat slabs are driven to
-/// completion while they are hot in cache, then the sweep moves to the
-/// next lane. Lanes are independent, so this is bit-identical to any
-/// other schedule (including cycle-major) — the order only decides
-/// cache behaviour, and keeping one lane's dense arrays resident beats
-/// touching every lane once per cycle.
-fn sweep_stripe(lanes: &mut [SoaLane]) {
-    for lane in lanes.iter_mut() {
-        while lane.is_running() {
-            lane.step();
-        }
+/// Sweeps one stripe lane-major: each lane runs to completion while its
+/// flat slabs are hot in cache, then the sweep moves to the next lane.
+fn sweep_stripe(lanes: &mut [SoaLane], tap_limit: u64, max_cycles: u64) {
+    for lane in lanes {
+        lane.run(tap_limit, max_cycles);
     }
 }

@@ -156,14 +156,20 @@ impl StagedExecutor {
     }
 
     /// Deploys `program` onto the exact `regions` the placement pass
-    /// chose (one region per stage, same order). On failure, every
-    /// processor gathered so far is released.
+    /// chose (one region per stage, same order; any other count is
+    /// [`CoreError::RegionCountMismatch`]). On failure, every processor
+    /// gathered so far is released.
     pub fn deploy_placed(
         chip: &mut VlsiChip,
         program: StagedProgram,
         regions: &[Region],
     ) -> Result<StagedExecutor, CoreError> {
-        assert_eq!(regions.len(), program.stages.len(), "one region per stage");
+        if regions.len() != program.stages.len() {
+            return Err(CoreError::RegionCountMismatch {
+                regions: regions.len(),
+                stages: program.stages.len(),
+            });
+        }
         Self::deploy_with(chip, program, |chip, _, i| {
             chip.gather(regions[i].clone()).map(|o| o.id)
         })
@@ -286,8 +292,8 @@ impl StagedExecutor {
     /// Each stage is configured **once**, on the tick its first dataset
     /// arrives, and its datapath then stays resident: staged streams
     /// read their mailboxes through *addressed* loads (no stream
-    /// pointers advance) and `Datapath::run` clears all per-run
-    /// transient state, so re-executing the resident datapath on a
+    /// pointers advance) and every engine run starts its transient
+    /// dataflow state cleared, so re-executing the resident datapath on a
     /// freshly staged mailbox produces exactly the reports a
     /// reconfigure would. Skipping the per-dataset release + management
     /// pipeline replay is where the throughput gain over N sequential
@@ -551,6 +557,21 @@ mod tests {
         assert_eq!(out, vec![90]);
         exec.release(&mut chip).unwrap();
         assert_eq!(chip.free_clusters(), 64);
+    }
+
+    #[test]
+    fn deploy_placed_rejects_a_region_count_mismatch() {
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let one = vec![Region::rect(Coord::new(0, 0), 2, 2)];
+        let err = StagedExecutor::deploy_placed(&mut chip, two_stage_program(), &one);
+        assert_eq!(
+            err.err(),
+            Some(CoreError::RegionCountMismatch {
+                regions: 1,
+                stages: 2
+            })
+        );
+        assert_eq!(chip.free_clusters(), 64, "nothing gathered");
     }
 
     /// Three stages: s0 and s1 are independent (level 0), s2 consumes
