@@ -28,6 +28,17 @@ echo "== benchmark package builds against the current crates"
 # crates/* must not break it unnoticed.
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark correctness smoke (every workload, 1 s, exit 0 required)"
+# Each workload checks its own answers while it runs: engine_sweep every
+# stored word against the kernel's closed form, corpus_pipeline every
+# dataset against Netlist::evaluate, serve_mix the ingest conservation
+# ledger and every completed job against its oracle. A failed check
+# exits non-zero, so an engine change cannot pass CI with a wrong
+# answer the digests do not cover.
+for workload in engine_sweep corpus_pipeline serve_mix; do
+    ./.bench_build/release/vlsi-benchmark --workload "$workload" --seed 2012 --seconds 1 --trace 0 >/dev/null
+done
+
 echo "== bench smoke (one iteration per workload, emitted JSON validates)"
 BENCH_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$BENCH_SMOKE_DIR"' EXIT

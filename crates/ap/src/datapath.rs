@@ -5,10 +5,13 @@
 //! turns a configuration stream plus the resident objects into that
 //! chained graph, flattened once into parallel arrays — ids, ops,
 //! immediates, registers, wired-port flags, tap flags — and a CSR
-//! successor list. The resident processor keeps this form between
-//! runs: register state (memory stream pointers) advances in place and
-//! persists across executions, while everything transient lives only
-//! for one run of the [`SoaLane`](crate::soa::SoaLane) engine.
+//! successor list. Everything that depends on the graph alone is
+//! computed here, once per configure: the release-token order, and the
+//! streaming memory nodes whose registers a run can advance. The
+//! resident processor keeps this form between runs: register state
+//! (memory stream pointers) advances in place and persists across
+//! executions, while everything transient lives only for one run of the
+//! [`SoaLane`](crate::soa::SoaLane) engine.
 
 use crate::error::ApError;
 use crate::metrics::ApMetrics;
@@ -38,7 +41,7 @@ pub(crate) const RHS: usize = 1;
 pub(crate) const PRED: usize = 2;
 
 /// Outcome of one datapath run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecutionReport {
     /// Cycles simulated.
     pub cycles: u64,
@@ -50,9 +53,10 @@ pub struct ExecutionReport {
     pub stores: u64,
     /// Values collected at taps (successor-less compute nodes), per object.
     pub taps: HashMap<ObjectId, Vec<Word>>,
-    /// Firings per object — the utilisation profile of the datapath
+    /// Firings per object that fired at least once, in node
+    /// (working-set) order — the utilisation profile of the datapath
     /// (the busiest object bounds the stream rate).
-    pub node_firings: HashMap<ObjectId, u64>,
+    pub node_firings: Vec<(ObjectId, u64)>,
     /// Whether the datapath reached quiescence (nothing in flight, nothing
     /// deliverable) rather than the cycle budget.
     pub drained: bool,
@@ -80,6 +84,13 @@ pub struct Datapath {
     succ_list: Vec<(u32, u8)>,
     /// Successor-less compute nodes whose outputs a run collects.
     pub(crate) is_tap: Vec<bool>,
+    /// Streaming `Load`/`Store` nodes (no address producer): the only
+    /// nodes whose registers a run changes.
+    streaming: Vec<usize>,
+    /// Object release order, as driven by release tokens.
+    pub(crate) release_order: Vec<ObjectId>,
+    /// Release tokens fired while freeing the datapath.
+    pub(crate) release_tokens: u64,
 }
 
 impl Datapath {
@@ -138,7 +149,44 @@ impl Datapath {
             dp.is_tap.push(s.is_empty() && !op.is_memory_op());
         }
         dp.succ_start.push(dp.succ_list.len() as u32);
+        dp.streaming = (0..n)
+            .filter(|&i| dp.ops[i].is_memory_op() && !dp.has_src[i][LHS])
+            .collect();
+        dp.fire_release_tokens();
         Ok(dp)
+    }
+
+    /// Propagates release tokens from the sources through the graph,
+    /// recording the release order. Sources (no wired inputs) fire
+    /// first; every node releases after receiving a token from each
+    /// predecessor. Nodes on cycles never receive all tokens; they are
+    /// released by force at the end (the paper's datapaths are acyclic).
+    fn fire_release_tokens(&mut self) {
+        let mut pending: Vec<usize> = self
+            .has_src
+            .iter()
+            .map(|srcs| srcs.iter().filter(|&&s| s).count())
+            .collect();
+        let mut queue: Vec<usize> = (0..self.len()).filter(|&i| pending[i] == 0).collect();
+        let mut tokens = 0;
+        let mut head = 0;
+        while head < queue.len() {
+            let i = queue[head];
+            head += 1;
+            tokens += 1;
+            for &(s, _) in self.succs(i) {
+                // One token per edge.
+                tokens += 1;
+                pending[s as usize] -= 1;
+                if pending[s as usize] == 0 {
+                    queue.push(s as usize);
+                }
+            }
+        }
+        // Nodes on cycles are released by force, after the rest.
+        queue.extend((0..self.len()).filter(|&i| pending[i] > 0));
+        self.release_order = queue.iter().map(|&i| self.ids[i]).collect();
+        self.release_tokens = tokens;
     }
 
     /// Number of nodes.
@@ -176,6 +224,14 @@ impl Datapath {
             kind: self.kinds[i],
             regs: self.regs[i],
         })
+    }
+
+    /// The streaming memory nodes, as `(object, registers)`: everything
+    /// a run can change in the register state.
+    pub(crate) fn streaming_regs(
+        &self,
+    ) -> impl Iterator<Item = (ObjectId, [Word; PHYS_REGISTERS])> + '_ {
+        self.streaming.iter().map(|&i| (self.ids[i], self.regs[i]))
     }
 
     /// Folds a report into the processor metrics.
@@ -453,10 +509,16 @@ mod tests {
         })
         .unwrap();
         let (_, _, report) = run(dp, vec![MemoryBlock::new()], 0, 10_000);
-        for id in [0u32, 1, 2] {
-            assert_eq!(report.node_firings[&ObjectId(id)], 8, "obj{id}");
-        }
-        assert_eq!(report.node_firings.values().sum::<u64>(), report.firings);
+        // Node order is working-set order: the mul (first sink), then
+        // its load, then the store.
+        assert_eq!(
+            report.node_firings,
+            vec![(ObjectId(1), 8), (ObjectId(0), 8), (ObjectId(2), 8)]
+        );
+        assert_eq!(
+            report.node_firings.iter().map(|&(_, n)| n).sum::<u64>(),
+            report.firings
+        );
     }
 
     #[test]

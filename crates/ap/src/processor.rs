@@ -433,10 +433,11 @@ impl AdaptiveProcessor {
     }
 
     /// Reattaches a [`SoaLane`]: memory and the datapath (with its
-    /// advanced register state) come home; on success the registers
-    /// (stream pointers) are persisted to the bound objects, so a later
-    /// swap-out writes them to the library, and metrics fold in. A
-    /// failed lane persists nothing and folds no metrics.
+    /// advanced register state) come home; on success the registers a
+    /// run can change (the stream pointers of its streaming memory
+    /// nodes) are persisted to the bound objects, so a later swap-out
+    /// writes them to the library, and metrics fold in. A failed lane
+    /// persists nothing and folds no metrics.
     pub fn finish_batch(&mut self, lane: SoaLane) -> Result<ExecutionReport, ApError> {
         let index = lane.datapath_index;
         let (dp, memory, outcome) = lane.finish();
@@ -446,11 +447,11 @@ impl AdaptiveProcessor {
         };
         resident.dp = dp;
         let report = outcome?;
-        for spec in resident.dp.specs() {
-            if let Some(b) = self.stack.get_mut(spec.id) {
-                b.regs = spec.regs;
-            } else if let Some(b) = self.memory_binds.iter_mut().find(|b| b.id() == spec.id) {
-                b.regs = spec.regs;
+        for (id, regs) in resident.dp.streaming_regs() {
+            if let Some(b) = self.stack.get_mut(id) {
+                b.regs = regs;
+            } else if let Some(b) = self.memory_binds.iter_mut().find(|b| b.id() == id) {
+                b.regs = regs;
             }
         }
         Datapath::report_metrics(&report, &mut self.metrics);
@@ -733,6 +734,32 @@ mod tests {
         for i in 0..4u64 {
             assert_eq!(p.memory(1).unwrap().peek(i).unwrap(), Word((i + 1) * 10));
         }
+    }
+
+    #[test]
+    fn stream_pointers_persist_across_reconfigure() {
+        // A 3-word load stream: a run advances the pointer, finish_batch
+        // writes it to the bound object, and the datapath rebuilt by the
+        // next configure continues from there.
+        let mut p = ap();
+        let mut load = LogicalObject::memory(ObjectId(100), LocalConfig::op(Operation::Load));
+        load.init = vec![Word(0), Word(0), Word(3)];
+        p.install([load, unary_obj(1, Operation::Pass, 0)]).unwrap();
+        for i in 0..6 {
+            p.memory_mut(0).unwrap().store(i, Word(10 + i)).unwrap();
+        }
+        let stream: GlobalConfigStream = [GlobalConfigElement::unary(ObjectId(1), ObjectId(100))]
+            .into_iter()
+            .collect();
+        p.configure(stream.clone()).unwrap();
+        let first = p.execute(10, 100_000).unwrap();
+        assert_eq!(first.taps[&ObjectId(1)], vec![Word(10), Word(11), Word(12)]);
+        p.configure(stream).unwrap();
+        let second = p.execute(10, 100_000).unwrap();
+        assert_eq!(
+            second.taps[&ObjectId(1)],
+            vec![Word(13), Word(14), Word(15)]
+        );
     }
 
     #[test]

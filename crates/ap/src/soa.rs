@@ -18,27 +18,72 @@
 //! * **steer** objects guard data-intensive datapaths from control flow:
 //!   they forward their value only when the predicate matches, which is
 //!   how `if (x>y) z=x+1 else z=y+2` becomes two speculative arms;
-//! * when the run drains, **release tokens** propagate from the stream
-//!   sources through the datapath (§2.2: "An object is released by
-//!   receiving and firing release token(s) from the preceding object(s)"),
-//!   yielding the release order the processor uses to free resources.
+//! * when the run drains, the report carries the **release tokens** the
+//!   datapath fires on release (§2.2: "An object is released by receiving
+//!   and firing release token(s) from the preceding object(s)"). They
+//!   depend on the graph alone, so [`Datapath::build`] computes them once.
 //!
-//! Each cycle has three phases — deliver outputs, retire in-flight
-//! operations, fire ready nodes — each walking the nodes in index order
-//! over the datapath's flat arrays and one slab of per-node run state,
-//! so one cycle of one AP touches a few dense arrays front to back. A single AP's `execute` is a one-lane run; a
-//! region executor detaches many lanes and runs each to completion while
-//! its slabs are cache-hot. Lanes share nothing, so every schedule and
-//! thread count gives the same bytes.
+//! # Live-node sets
+//!
+//! An acquired datapath is free from control (§2.2): an object acts only
+//! when a token reaches it. The run loop follows that, so a cycle costs
+//! what its tokens do, not the node count. It keeps three node-index
+//! bitsets, and each of the cycle's three phases walks one of them in
+//! ascending index order:
+//!
+//! 1. **deliver** — the *has-output* set: nodes holding a token. A
+//!    delivered (or dropped) token leaves the set, makes the node a fire
+//!    candidate again (it is un-busy), and makes every successor that
+//!    received it a candidate;
+//! 2. **retire** — the *in-flight* set: nodes whose operation is counting
+//!    down its latency. A finished one moves to has-output;
+//! 3. **fire** — the *candidate* set: nodes that got an input this cycle
+//!    or became un-busy (every node, on the first cycle). The set is
+//!    consumed as it is walked; a firing with a result joins in-flight.
+//!    Busy candidates — in flight, holding a token, or sources past
+//!    their stream limit (a fourth set, *exhausted*) — are masked out a
+//!    word at a time.
+//!
+//! This is exactly the schedule of a loop that visits every node in
+//! every phase:
+//!
+//! * Phase 1 does not depend on order: every input latch has one
+//!   producer, so no delivery can block or enable another in the same
+//!   phase.
+//! * Phase 2 touches each node's own state only.
+//! * In phase 3 a node that is not a candidate cannot fire. Whether it
+//!   can depends only on its own latches, its own counters and its own
+//!   busy state. Those change only by a delivery to it, by its own token
+//!   leaving (both make it a candidate), or by its own firing. A firing
+//!   with a result makes the node busy until its token leaves; one
+//!   without (a `Store`, a steer whose predicate failed) consumed the
+//!   latches it needs, so it waits for a delivery.
+//! * Firing consumes only the node's own latches. The only state nodes
+//!   share is memory, and the candidates still fire in ascending index
+//!   order, so every load and store happens in the old order.
+//!
+//! `crates/ap/tests/engine_oracle.rs` keeps the visit-every-node stepper
+//! as an independent oracle and checks the two against each other on
+//! random datapaths.
+//!
+//! The slabs (per-node slots, tap buffers, the node sets) belong to the
+//! thread, not to a datapath: each run clears and reuses its thread's
+//! slabs, so a run allocates only its report, and a region sweep of
+//! many lanes keeps one slab hot in cache instead of touching one per
+//! lane. A single AP's `execute` is a one-lane run; a region executor
+//! detaches many lanes and runs each to completion in turn. Lanes share
+//! nothing, so every schedule and thread count gives the same bytes.
 
 use crate::datapath::{Datapath, ExecutionReport, LHS, PRED, RHS};
 use crate::error::ApError;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use vlsi_object::{MemoryBlock, Operation, Word};
 
-/// Sentinel for "nothing in flight" in the latency countdown slab
-/// (`Operation::latency` is tiny; real countdowns never reach this).
-const IDLE: u32 = u32::MAX;
+thread_local! {
+    /// This thread's run slabs, reused by every run on it.
+    static SLABS: RefCell<RunSlabs> = RefCell::new(RunSlabs::default());
+}
 
 /// One datapath plus the memory blocks it runs over.
 ///
@@ -80,8 +125,11 @@ impl SoaLane {
     /// dataflow state starts cleared on every run; register state
     /// (stream pointers) carries over.
     pub fn run(&mut self, tap_limit: u64, max_cycles: u64) {
-        self.outcome =
-            Flow::new(self.dp.len()).run(&mut self.dp, &mut self.memory, tap_limit, max_cycles);
+        SLABS.with(|slabs| {
+            let slabs = &mut *slabs.borrow_mut();
+            slabs.reset(self.dp.len());
+            self.outcome = slabs.run(&mut self.dp, &mut self.memory, tap_limit, max_cycles);
+        });
     }
 
     /// Dissolves the lane: the datapath with its advanced register
@@ -92,125 +140,190 @@ impl SoaLane {
     }
 }
 
-/// The transient state of one node during a run.
+/// A set of node indices, walked in ascending order one 64-bit word at
+/// a time.
+#[derive(Default)]
+struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    /// Empties the set and sizes it for `n` nodes.
+    fn clear(&mut self, n: usize) {
+        self.0.clear();
+        self.0.resize(n.div_ceil(64), 0);
+    }
+
+    /// Makes the set hold every node `0..n`.
+    fn fill(&mut self, n: usize) {
+        self.clear(n);
+        for (k, w) in self.0.iter_mut().enumerate() {
+            let bits = n - k * 64;
+            *w = if bits >= 64 { !0 } else { (1 << bits) - 1 };
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+}
+
+/// The node indices of word `k` of a set, ascending. The word is a copy,
+/// so the walk may change the set as it goes.
+fn members(k: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            k * 64 + bit
+        })
+    })
+}
+
+/// The transient state of one node during a run. Whether the node holds
+/// an output token, has an operation in flight or is an exhausted
+/// source is kept in the node sets; `val` is the token's value (a node
+/// holds at most one).
 #[derive(Clone, Copy)]
 struct Slot {
     /// Input latches, by port.
     inputs: [Option<Word>; 3],
-    /// Cycles left for the in-flight operation, or [`IDLE`].
-    inflight_rem: u32,
-    /// The in-flight operation's result.
-    inflight_val: Word,
-    /// Output latch.
-    out: Option<Word>,
+    /// The in-flight operation's result, then the output token.
+    val: Word,
+    /// Cycles left for the in-flight operation.
+    rem: u32,
     /// Tokens this node has emitted.
     produced: u64,
-    /// A source past its stream limit.
-    exhausted: bool,
     /// Times this node fired.
     firings: u64,
 }
 
-/// The transient dataflow state of one run, parallel over node index.
-struct Flow {
+impl Slot {
+    const IDLE: Slot = Slot {
+        inputs: [None; 3],
+        val: Word::ZERO,
+        rem: 0,
+        produced: 0,
+        firings: 0,
+    };
+}
+
+/// The engine's per-run state, parallel over node index. Each thread
+/// keeps one and clears it at the start of every run.
+#[derive(Default)]
+struct RunSlabs {
     slots: Vec<Slot>,
     tap_vals: Vec<Vec<Word>>,
+    /// Nodes holding a token to deliver (phase 1).
+    has_out: NodeSet,
+    /// Nodes whose operation is still counting down (phase 2).
+    in_flight: NodeSet,
+    /// Nodes that may fire this cycle (phase 3).
+    candidates: NodeSet,
+    /// Sources past their stream limit: they never fire again.
+    exhausted: NodeSet,
     firings: u64,
     loads: u64,
     stores: u64,
     cycles: u64,
 }
 
-impl Flow {
-    fn new(n: usize) -> Flow {
-        let idle = Slot {
-            inputs: [None; 3],
-            inflight_rem: IDLE,
-            inflight_val: Word::ZERO,
-            out: None,
-            produced: 0,
-            exhausted: false,
-            firings: 0,
-        };
-        Flow {
-            slots: vec![idle; n],
-            tap_vals: vec![Vec::new(); n],
-            firings: 0,
-            loads: 0,
-            stores: 0,
-            cycles: 0,
-        }
+impl RunSlabs {
+    /// Clears every slab for a fresh run of `n` nodes: every node starts
+    /// as a fire candidate.
+    fn reset(&mut self, n: usize) {
+        self.slots.clear();
+        self.slots.resize(n, Slot::IDLE);
+        self.tap_vals.clear();
+        self.tap_vals.resize_with(n, Vec::new);
+        self.has_out.clear(n);
+        self.in_flight.clear(n);
+        self.candidates.fill(n);
+        self.exhausted.clear(n);
+        self.firings = 0;
+        self.loads = 0;
+        self.stores = 0;
+        self.cycles = 0;
     }
 
     fn run(
-        mut self,
+        &mut self,
         dp: &mut Datapath,
         memory: &mut [MemoryBlock],
         tap_limit: u64,
         max_cycles: u64,
     ) -> Result<ExecutionReport, ApError> {
-        let n = dp.len();
+        let words = self.candidates.0.len();
         for _ in 0..max_cycles {
             let mut activity = false;
 
             // Phase 1: deliver outputs to successor latches (broadcast
             // with backpressure: the output clears only when all
             // successors have accepted).
-            for i in 0..n {
-                let Some(v) = self.slots[i].out else { continue };
-                let succs = dp.succs(i);
-                if succs.is_empty() {
-                    // A tap: collect. (Successor-less memory nodes drop
-                    // the value.)
-                    if dp.is_tap[i] && (self.tap_vals[i].len() as u64) < tap_limit {
-                        self.tap_vals[i].push(v);
+            for k in 0..words {
+                for i in members(k, self.has_out.0[k]) {
+                    let v = self.slots[i].val;
+                    let succs = dp.succs(i);
+                    if succs.is_empty() {
+                        // A tap: collect. (Successor-less memory nodes
+                        // drop the value.)
+                        if dp.is_tap[i] && (self.tap_vals[i].len() as u64) < tap_limit {
+                            self.tap_vals[i].push(v);
+                            activity = true;
+                        }
+                    } else {
+                        let slots = &mut self.slots;
+                        if !succs
+                            .iter()
+                            .all(|&(s, p)| slots[s as usize].inputs[p as usize].is_none())
+                        {
+                            continue;
+                        }
+                        for &(s, p) in succs {
+                            slots[s as usize].inputs[p as usize] = Some(v);
+                            self.candidates.insert(s as usize);
+                        }
                         activity = true;
                     }
-                    self.slots[i].out = None;
                     self.slots[i].produced += 1;
-                    continue;
-                }
-                let slots = &mut self.slots;
-                if succs
-                    .iter()
-                    .all(|&(s, p)| slots[s as usize].inputs[p as usize].is_none())
-                {
-                    for &(s, p) in succs {
-                        slots[s as usize].inputs[p as usize] = Some(v);
-                    }
-                    slots[i].out = None;
-                    slots[i].produced += 1;
-                    activity = true;
+                    self.has_out.remove(i);
+                    self.candidates.insert(i);
                 }
             }
 
             // Phase 2: retire in-flight operations whose latency elapsed.
-            for slot in &mut self.slots {
-                if slot.inflight_rem == IDLE {
-                    continue;
+            for k in 0..words {
+                for i in members(k, self.in_flight.0[k]) {
+                    let slot = &mut self.slots[i];
+                    if slot.rem <= 1 {
+                        self.in_flight.remove(i);
+                        self.has_out.insert(i);
+                    } else {
+                        slot.rem -= 1;
+                    }
+                    activity = true;
                 }
-                if slot.inflight_rem <= 1 {
-                    slot.inflight_rem = IDLE;
-                    debug_assert!(slot.out.is_none());
-                    slot.out = Some(slot.inflight_val);
-                } else {
-                    slot.inflight_rem -= 1;
-                }
-                activity = true;
             }
 
-            // Phase 3: fire ready nodes, in node-index order.
-            for i in 0..n {
-                let s = &self.slots[i];
-                let busy = s.inflight_rem != IDLE || s.out.is_some() || s.exhausted;
-                if !busy && self.try_fire(dp, memory, i)? {
-                    activity = true;
+            // Phase 3: fire ready candidates, in node-index order. A
+            // busy candidate (in flight, holding a token, exhausted)
+            // cannot fire; only a node's own firing changes its busy
+            // bits, so they are masked out once per word.
+            for k in 0..words {
+                let busy = self.in_flight.0[k] | self.has_out.0[k] | self.exhausted.0[k];
+                let word = std::mem::take(&mut self.candidates.0[k]) & !busy;
+                for i in members(k, word) {
+                    if self.try_fire(dp, memory, i)? {
+                        activity = true;
+                    }
                 }
             }
 
             self.cycles += 1;
             if !activity {
-                return Ok(self.into_report(dp));
+                return Ok(self.report(dp));
             }
         }
         // The cycle budget elapsed with work still in flight.
@@ -239,7 +352,7 @@ impl Flow {
                 // A constant regenerates whenever downstream consumed
                 // it, up to its stream limit (regs[2]; 0 = one-shot).
                 if slot.produced >= regs[2].as_u64().max(1) {
-                    slot.exhausted = true;
+                    self.exhausted.insert(i);
                     return Ok(false);
                 }
                 Some(dp.imms[i])
@@ -248,7 +361,7 @@ impl Flow {
                 let addr = if streaming {
                     let limit = regs[2].as_u64();
                     if limit != 0 && slot.produced >= limit {
-                        slot.exhausted = true;
+                        self.exhausted.insert(i);
                         return Ok(false);
                     }
                     regs[0].as_u64()
@@ -257,7 +370,7 @@ impl Flow {
                     let Some(addr_tok) = ports[LHS].take() else {
                         return Ok(false);
                     };
-                    regs[0].as_u64() + addr_tok.as_u64()
+                    regs[0].as_u64().wrapping_add(addr_tok.as_u64())
                 };
                 let v = memory
                     .get_mut(regs[1].as_u64() as usize)
@@ -330,73 +443,41 @@ impl Flow {
                 Some(v)
             }
         };
+        // A firing without a result (a store, a dark steer) consumed the
+        // latches it fired on, so the node cannot fire again before a
+        // delivery makes it a candidate.
         if let Some(v) = result {
-            slot.inflight_rem = op.latency();
-            slot.inflight_val = v;
+            slot.rem = op.latency();
+            slot.val = v;
+            self.in_flight.insert(i);
         }
         slot.firings += 1;
         self.firings += 1;
         Ok(true)
     }
 
-    /// The report of a drained run, release tokens included.
-    fn into_report(mut self, dp: &Datapath) -> ExecutionReport {
-        let mut report = ExecutionReport {
+    /// The report of a drained run.
+    fn report(&mut self, dp: &Datapath) -> ExecutionReport {
+        let mut taps = HashMap::new();
+        let mut node_firings = Vec::new();
+        for (i, slot) in self.slots.iter().enumerate() {
+            if dp.is_tap[i] {
+                taps.insert(dp.ids[i], std::mem::take(&mut self.tap_vals[i]));
+            }
+            if slot.firings > 0 {
+                node_firings.push((dp.ids[i], slot.firings));
+            }
+        }
+        ExecutionReport {
             cycles: self.cycles,
             firings: self.firings,
             loads: self.loads,
             stores: self.stores,
-            taps: HashMap::new(),
-            node_firings: HashMap::new(),
+            taps,
+            node_firings,
             drained: true,
-            release_tokens: 0,
-            release_order: Vec::new(),
-        };
-        for i in 0..dp.len() {
-            if dp.is_tap[i] {
-                report
-                    .taps
-                    .insert(dp.ids[i], std::mem::take(&mut self.tap_vals[i]));
-            }
-            if self.slots[i].firings > 0 {
-                report.node_firings.insert(dp.ids[i], self.slots[i].firings);
-            }
-        }
-        fire_release_tokens(dp, &mut report);
-        report
-    }
-}
-
-/// Propagates release tokens from the sources through the graph,
-/// recording the release order. Sources (no wired inputs) fire first;
-/// every node releases after receiving a token from each predecessor.
-/// Nodes on cycles never receive all tokens; they are released by force
-/// at the end (the paper's datapaths are acyclic).
-fn fire_release_tokens(dp: &Datapath, report: &mut ExecutionReport) {
-    let mut pending: Vec<usize> = dp
-        .has_src
-        .iter()
-        .map(|srcs| srcs.iter().filter(|&&s| s).count())
-        .collect();
-    let mut queue: Vec<usize> = (0..dp.len()).filter(|&i| pending[i] == 0).collect();
-    let mut head = 0;
-    while head < queue.len() {
-        let i = queue[head];
-        head += 1;
-        report.release_order.push(dp.ids[i]);
-        report.release_tokens += 1;
-        for &(s, _) in dp.succs(i) {
-            // One token per edge.
-            report.release_tokens += 1;
-            pending[s as usize] -= 1;
-            if pending[s as usize] == 0 {
-                queue.push(s as usize);
-            }
-        }
-    }
-    for (i, &p) in pending.iter().enumerate() {
-        if p > 0 {
-            report.release_order.push(dp.ids[i]);
+            release_tokens: dp.release_tokens,
+            release_order: dp.release_order.clone(),
         }
     }
 }

@@ -22,6 +22,7 @@ use crate::error::CoreError;
 use crate::scaled::ProcessorId;
 use std::collections::HashMap;
 use std::sync::Arc;
+use vlsi_ap::ExecutionReport;
 use vlsi_object::{GlobalConfigStream, LogicalObject, ObjectId, Word};
 use vlsi_topology::Region;
 
@@ -140,6 +141,25 @@ pub struct PipelineRunStats {
 pub struct StagedExecutor {
     program: StagedProgram,
     procs: Vec<ProcessorId>,
+    /// The program's dependency levels, computed once at deploy.
+    levels: Vec<Vec<usize>>,
+    /// Every variable the program names, in first-mention order; a run
+    /// keeps its environment as one `i64` per variable.
+    vars: Vec<String>,
+    /// Per stage, its mailbox bindings and probe taps over variable
+    /// slots.
+    plans: Vec<StagePlan>,
+    /// The program outputs' variable slots.
+    output_slots: Vec<usize>,
+}
+
+/// One stage's contracts with its variable names resolved to slots.
+#[derive(Debug)]
+struct StagePlan {
+    /// `(variable slot, mailbox memory-block index)`.
+    inputs: Vec<(usize, usize)>,
+    /// `(variable slot, probe tap)`.
+    outputs: Vec<(usize, ObjectId)>,
 }
 
 impl StagedExecutor {
@@ -194,12 +214,94 @@ impl StagedExecutor {
                 }
             }
         }
-        Ok(StagedExecutor { program, procs })
+        let mut vars: Vec<String> = Vec::new();
+        let mut slot = |name: &String| match vars.iter().position(|v| v == name) {
+            Some(i) => i,
+            None => {
+                vars.push(name.clone());
+                vars.len() - 1
+            }
+        };
+        let plans = program
+            .stages
+            .iter()
+            .map(|stage| StagePlan {
+                inputs: stage.inputs.iter().map(|(v, b)| (slot(v), *b)).collect(),
+                outputs: stage.outputs.iter().map(|(v, t)| (slot(v), *t)).collect(),
+            })
+            .collect();
+        let output_slots = program.outputs.iter().map(|(_, v)| slot(v)).collect();
+        Ok(StagedExecutor {
+            levels: program.levels(),
+            program,
+            procs,
+            vars,
+            plans,
+            output_slots,
+        })
     }
 
     /// The program's dependency levels (see [`StagedProgram::levels`]).
-    fn levels(&self) -> Vec<Vec<usize>> {
-        self.program.levels()
+    fn levels(&self) -> &[Vec<usize>] {
+        &self.levels
+    }
+
+    /// A run's environment for input `inputs`: one value per variable
+    /// slot, 0 for a variable the inputs do not name (the mailbox
+    /// default).
+    fn env_of(&self, inputs: &HashMap<String, i64>) -> Vec<i64> {
+        self.vars
+            .iter()
+            .map(|v| inputs.get(v).copied().unwrap_or(0))
+            .collect()
+    }
+
+    /// Stages mailbox inputs for stage `j` from `env`, activates its
+    /// processor, and configures it when `configure` is set. Returns
+    /// `(mailbox words written, configuration cycles)`.
+    fn stage_in(
+        &self,
+        chip: &mut VlsiChip,
+        j: usize,
+        env: &[i64],
+        configure: bool,
+    ) -> Result<(u64, u64), CoreError> {
+        let proc = self.procs[j];
+        let inputs = &self.plans[j].inputs;
+        for &(var, mem_block) in inputs {
+            chip.write_mailbox(proc, mem_block, 0, &[Word::from_i64(env[var])])?;
+        }
+        chip.activate(proc)?;
+        let mut cycles = 0;
+        if configure {
+            cycles = chip
+                .configure(proc, Arc::clone(&self.program.stages[j].stream))?
+                .cycles;
+        }
+        Ok((inputs.len() as u64, cycles))
+    }
+
+    /// Reads stage `j`'s probe taps from `report` into `env` and
+    /// deactivates its processor. A probe that collected nothing is an
+    /// [`ApError::ExecutionTimeout`](vlsi_ap::ApError::ExecutionTimeout).
+    fn stage_out(
+        &self,
+        chip: &mut VlsiChip,
+        j: usize,
+        report: &ExecutionReport,
+        env: &mut [i64],
+    ) -> Result<(), CoreError> {
+        for &(var, tap) in &self.plans[j].outputs {
+            let vals = report
+                .taps
+                .get(&tap)
+                .filter(|v| !v.is_empty())
+                .ok_or(CoreError::Ap(vlsi_ap::ApError::ExecutionTimeout {
+                    cycles: report.cycles,
+                }))?;
+            env[var] = vals[0].as_i64();
+        }
+        chip.deactivate(self.procs[j])
     }
 
     /// Runs the program for one input environment. Returns the program
@@ -218,53 +320,30 @@ impl StagedExecutor {
         chip: &mut VlsiChip,
         inputs: &HashMap<String, i64>,
     ) -> Result<(Vec<i64>, StagedRunStats), CoreError> {
-        let mut env = inputs.clone();
+        let mut env = self.env_of(inputs);
         let mut stats = StagedRunStats::default();
         for level in self.levels() {
-            for &j in &level {
-                let stage = &self.program.stages[j];
-                let proc = self.procs[j];
-                for (var, mem_block) in &stage.inputs {
-                    let v = env.get(var).copied().unwrap_or(0);
-                    chip.write_mailbox(proc, *mem_block, 0, &[Word::from_i64(v)])?;
-                    stats.mailbox_writes += 1;
-                }
-                chip.activate(proc)?;
-                let cfg = chip.configure(proc, Arc::clone(&stage.stream))?;
-                stats.config_cycles += cfg.cycles;
+            for &j in level {
+                let (writes, cycles) = self.stage_in(chip, j, &env, true)?;
+                stats.mailbox_writes += writes;
+                stats.config_cycles += cycles;
             }
             let ids: Vec<ProcessorId> = level.iter().map(|&j| self.procs[j]).collect();
             let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
             for (&j, report) in level.iter().zip(&reports) {
-                let stage = &self.program.stages[j];
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
-                for (var, tap) in &stage.outputs {
-                    let vals =
-                        report
-                            .taps
-                            .get(tap)
-                            .filter(|v| !v.is_empty())
-                            .ok_or(CoreError::Ap(vlsi_ap::ApError::ExecutionTimeout {
-                                cycles: report.cycles,
-                            }))?;
-                    env.insert(var.clone(), vals[0].as_i64());
-                }
-                chip.deactivate(self.procs[j])?;
+                self.stage_out(chip, j, report, &mut env)?;
             }
         }
         Ok((self.outputs_from(&env), stats))
     }
 
     /// Program outputs read from a finished environment, in
-    /// [`StagedProgram::outputs`] order (absent values read as 0,
-    /// matching the mailbox default).
-    fn outputs_from(&self, env: &HashMap<String, i64>) -> Vec<i64> {
-        self.program
-            .outputs
-            .iter()
-            .map(|(_, var)| env.get(var).copied().unwrap_or(0))
-            .collect()
+    /// [`StagedProgram::outputs`] order (a variable nothing wrote reads
+    /// as 0, matching the mailbox default).
+    fn outputs_from(&self, env: &[i64]) -> Vec<i64> {
+        self.output_slots.iter().map(|&v| env[v]).collect()
     }
 
     /// Runs the program for a *batch* of input environments with the
@@ -322,7 +401,7 @@ impl StagedExecutor {
             datasets: n as u64,
             ..PipelineRunStats::default()
         };
-        let mut envs: Vec<HashMap<String, i64>> = datasets.to_vec();
+        let mut envs: Vec<Vec<i64>> = datasets.iter().map(|ds| self.env_of(ds)).collect();
         if depth == 0 || n == 0 {
             let outputs = envs.iter().map(|env| self.outputs_from(env)).collect();
             return Ok((outputs, stats));
@@ -343,19 +422,10 @@ impl StagedExecutor {
                 }
                 let d = t - l;
                 for &j in level {
-                    let stage = &self.program.stages[j];
-                    let proc = self.procs[j];
-                    for (var, mem_block) in &stage.inputs {
-                        let v = envs[d].get(var).copied().unwrap_or(0);
-                        chip.write_mailbox(proc, *mem_block, 0, &[Word::from_i64(v)])?;
-                        stats.mailbox_writes += 1;
-                    }
-                    chip.activate(proc)?;
-                    if !configured[j] {
-                        let cfg = chip.configure(proc, Arc::clone(&stage.stream))?;
-                        stats.config_cycles += cfg.cycles;
-                        configured[j] = true;
-                    }
+                    let (writes, cycles) = self.stage_in(chip, j, &envs[d], !configured[j])?;
+                    stats.mailbox_writes += writes;
+                    stats.config_cycles += cycles;
+                    configured[j] = true;
                     active.push((j, d));
                 }
             }
@@ -363,22 +433,10 @@ impl StagedExecutor {
             ids.extend(active.iter().map(|&(j, _)| self.procs[j]));
             let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
             for (&(j, d), report) in active.iter().zip(&reports) {
-                let stage = &self.program.stages[j];
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
                 busy_ticks[j] += 1;
-                for (var, tap) in &stage.outputs {
-                    let vals =
-                        report
-                            .taps
-                            .get(tap)
-                            .filter(|v| !v.is_empty())
-                            .ok_or(CoreError::Ap(vlsi_ap::ApError::ExecutionTimeout {
-                                cycles: report.cycles,
-                            }))?;
-                    envs[d].insert(var.clone(), vals[0].as_i64());
-                }
-                chip.deactivate(self.procs[j])?;
+                self.stage_out(chip, j, report, &mut envs[d])?;
             }
         }
         let slots = stats.ticks * self.program.stages.len() as u64;
@@ -766,6 +824,24 @@ mod tests {
         assert_eq!(outs, vec![exec.run(&mut chip, &one[0]).unwrap().0]);
         assert_eq!(stats.ticks, 2);
         assert_eq!(stats.utilization_milli, 500, "1 dataset fills half");
+        exec.release(&mut chip).unwrap();
+    }
+
+    /// A variable an input map lacks reads 0 (the mailbox default), and
+    /// a program output no stage writes reads straight from the inputs.
+    #[test]
+    fn missing_variables_read_zero() {
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let mut program = two_stage_program();
+        program.outputs.push(("echo".into(), "a".into()));
+        let exec = StagedExecutor::deploy(&mut chip, program).unwrap();
+        // No `c`: (2 + 3) * 0.
+        let partial = HashMap::from([("a".to_string(), 2i64), ("b".to_string(), 3i64)]);
+        assert_eq!(exec.run(&mut chip, &partial).unwrap().0, vec![0, 2]);
+        // Nothing at all: every mailbox reads 0.
+        let datasets = [partial, HashMap::new()];
+        let (outs, _) = exec.run_pipelined(&mut chip, &datasets).unwrap();
+        assert_eq!(outs, vec![vec![0, 2], vec![0, 0]]);
         exec.release(&mut chip).unwrap();
     }
 
