@@ -98,4 +98,8 @@ cargo run -q --offline --example telemetry_trace >/dev/null
 cmp target/trace.first.json target/trace.json
 cmp target/telemetry.first.json target/telemetry.json
 
+echo "== Figure 7 examples (each asserts its claims: outputs, dark arm, wavefront ticks)"
+cargo run -q --offline --example conditional_blocks >/dev/null
+cargo run -q --offline --example dynamic_cmp >/dev/null
+
 echo "CI green."

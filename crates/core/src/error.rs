@@ -57,19 +57,6 @@ pub enum CoreError {
     CannotFuse,
     /// Splitting requires the parts to partition the region exactly.
     BadSplit,
-    /// A block program's terminator named a block it does not have.
-    UnknownBlock(usize),
-    /// A block program walked more blocks than it has: a back edge
-    /// (partitioned programs are acyclic).
-    BlockCycle {
-        /// The block the walk would have entered again.
-        block: usize,
-    },
-    /// A branching block produced no condition value.
-    MissingCondition {
-        /// The branching block.
-        block: usize,
-    },
     /// A placed deployment got a different number of regions than the
     /// program has stages.
     RegionCountMismatch {
@@ -106,13 +93,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::CannotFuse => write!(f, "regions cannot fuse"),
             CoreError::BadSplit => write!(f, "parts do not partition the region"),
-            CoreError::UnknownBlock(b) => write!(f, "no block {b} in the program"),
-            CoreError::BlockCycle { block } => {
-                write!(f, "block program loops back into block {block}")
-            }
-            CoreError::MissingCondition { block } => {
-                write!(f, "branching block {block} computed no condition")
-            }
             CoreError::RegionCountMismatch { regions, stages } => {
                 write!(f, "{regions} regions for {stages} stages")
             }

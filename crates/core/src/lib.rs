@@ -14,12 +14,12 @@
 //!   defect tolerance;
 //! * [`scaled`] — [`ScaledProcessor`]: one gathered region with its folded
 //!   stack, its adaptive processor, and its lifecycle state;
-//! * [`blockexec`] — execution of basic-block-partitioned programs across
-//!   multiple processors through mailbox memory writes and activation
-//!   (Figure 7(d));
-//! * [`staged`] — execution of compiler-emitted dataflow stage chains
-//!   ([`StagedProgram`]) over the same mailbox choreography, with
-//!   placement-directed deployment;
+//! * [`staged`] — the mailbox executor: [`StagedProgram`]s, one processor
+//!   per stage, live values passed by mailbox memory writes and
+//!   activation (Figure 7(d)). Compiler-emitted dataflow stages and
+//!   basic-block programs ([`StagedProgram::from_program`], branches as
+//!   guarded stages) run through the same sequential walk and pipelined
+//!   wavefront, with placement-directed deployment;
 //! * [`region`] — the SoA region executor behind
 //!   [`VlsiChip::execute_batch`]: whole regions of APs advanced in one
 //!   cache-friendly sweep per tick, row-striped across a worker pool,
@@ -28,7 +28,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod blockexec;
 pub mod chip;
 pub mod error;
 pub mod region;
@@ -36,7 +35,6 @@ pub mod scaled;
 pub mod staged;
 pub mod state;
 
-pub use blockexec::{BlockExecutor, PipelineReport, RunStats};
 pub use chip::{ChipMetrics, ConfigStrategy, GatherOutcome, VlsiChip};
 pub use error::CoreError;
 pub use scaled::{ProcessorId, ScaledProcessor};

@@ -1,21 +1,31 @@
-//! Executing compiled, pre-placed stage programs on a chip.
+//! Executing staged programs on a chip: one processor per stage, live
+//! values passed forward by mailbox writes.
 //!
-//! [`blockexec`](crate::blockexec) runs *control-flow* partitions: basic
-//! blocks joined by jumps and branches, each lowered on the fly. The
-//! compiler (`vlsi-compile`) instead emits *dataflow* partitions: a DAG
-//! cut into stages that execute once each, in index order, passing
-//! live values forward through mailbox memory writes — the same §2.6.2
-//! choreography (the predecessor writes a successor's memory blocks
-//! while the successor is inactive), but with the lowering done ahead
-//! of time and the region shapes chosen by the placement pass.
+//! Every stage runs the §2.6.2 choreography: its predecessor writes the
+//! stage's memory blocks while the stage is inactive, then activates it.
+//! Two front ends emit the [`StagedProgram`] artifact:
 //!
-//! [`StagedProgram`] is that ahead-of-time artifact: per stage, the
-//! logical objects, the optimised configuration stream, the live-in
-//! mailbox bindings, and the live-out probe taps. [`StagedExecutor`]
-//! deploys it — either wherever the allocator finds room
-//! ([`StagedExecutor::deploy`]) or onto the exact rectangles the
+//! * the compiler (`vlsi-compile`) cuts a dataflow DAG into stages ahead
+//!   of time, with region shapes chosen by its placement pass;
+//! * [`StagedProgram::from_program`] lowers a structured [`Program`] the
+//!   Figure 7(b) way: one 4-cluster stage per non-empty basic block.
+//!
+//! Control flow becomes predication. A stage that ends in a branch
+//! carries a **condition** tap ([`StagedStage::cond`]); each stage of an
+//! arm carries a **guard** ([`StagedStage::guard`]) naming the earlier
+//! condition stages and the truth it needs from each. A stage whose
+//! guard fails for a dataset is never touched: no mailbox write, no
+//! activation, no configure, no execute — the dark arm of Fig. 7(d).
+//! [`StagedProgram::levels`] orders stages past every read/write and
+//! guard dependence, so the same level schedule and wavefront serve
+//! branching and straight-line programs alike.
+//!
+//! Per stage the artifact holds the logical objects, the configuration
+//! stream, the live-in mailbox bindings, and the live-out probe taps.
+//! [`StagedExecutor`] deploys it — either wherever the allocator finds
+//! room ([`StagedExecutor::deploy`]) or onto the exact rectangles the
 //! compiler placed ([`StagedExecutor::deploy_placed`]) — and pushes
-//! input environments through the stage chain.
+//! input environments through the stages.
 
 use crate::chip::VlsiChip;
 use crate::error::CoreError;
@@ -23,11 +33,14 @@ use crate::scaled::ProcessorId;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vlsi_ap::ExecutionReport;
-use vlsi_object::{GlobalConfigStream, LogicalObject, ObjectId, Word};
+use vlsi_object::{
+    GlobalConfigElement, GlobalConfigStream, LocalConfig, LogicalObject, ObjectId, Operation, Word,
+};
 use vlsi_topology::Region;
+use vlsi_workloads::program::{BasicBlock, BlockDatapath, Expr, Program, Stmt, Terminator};
 
-/// One compiled stage: a partition of the dataflow graph, lowered to
-/// objects + stream, with its mailbox and probe contracts.
+/// One stage: a partition of the program, lowered to objects + stream,
+/// with its mailbox and probe contracts and its predicate.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StagedStage {
     /// Stage label (for traces and artifact dumps).
@@ -46,15 +59,25 @@ pub struct StagedStage {
     pub inputs: Vec<(String, usize)>,
     /// Live-out value name → probe (tap) object.
     pub outputs: Vec<(String, ObjectId)>,
+    /// The probe tap whose first word is this stage's branch condition
+    /// (non-zero = true), if the stage ends in a branch.
+    pub cond: Option<ObjectId>,
+    /// A conjunction over earlier stages: `(k, flag)` holds for a
+    /// dataset when stage `k` ran and its condition's truth equals
+    /// `flag`. The stage runs only if every entry holds; an empty guard
+    /// always holds.
+    pub guard: Vec<(usize, bool)>,
 }
 
-/// A compiled program: stages executed in index order, every inter-stage
-/// value carried by a mailbox write.
+/// A staged program: stages in program order, every inter-stage value
+/// carried by a mailbox write.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StagedProgram {
-    /// Program name (from the source netlist).
+    /// Program name (the source netlist's; `blocks` for a lowered
+    /// block program).
     pub name: String,
-    /// Stages in execution (topological) order.
+    /// Stages in program order: a sequential walk that skips each stage
+    /// whose guard fails computes the program.
     pub stages: Vec<StagedStage>,
     /// Program outputs: `(output name, value name)` — the value is read
     /// from the environment after the last stage retires.
@@ -62,33 +85,63 @@ pub struct StagedProgram {
 }
 
 impl StagedProgram {
+    /// Lowers a structured program (Figure 7(a)→(b)): one 4-cluster
+    /// stage per non-empty basic block, in program order — a block, then
+    /// its then-arm, then its else-arm, then the rest of the program.
+    ///
+    /// Each block compiles with [`BlockDatapath::compile`]; every live-in
+    /// becomes an addressed memory `Load` from its own mailbox block
+    /// (address 0), and every live-out and the branch condition gain a
+    /// `Pass` probe. A block ending in `if` carries the condition tap,
+    /// and each stage of its arms is guarded on it. The program outputs
+    /// are every variable the program names, in first-mention order, so
+    /// a variable the program only reads passes its input through.
+    pub fn from_program(program: &Program) -> StagedProgram {
+        let mut stages = Vec::new();
+        lower_stmts(&program.stmts, &[], &mut stages);
+        let mut vars = Vec::new();
+        named_vars(&program.stmts, &mut vars);
+        StagedProgram {
+            name: "blocks".into(),
+            stages,
+            outputs: vars.into_iter().map(|v| (v.clone(), v)).collect(),
+        }
+    }
+
     /// Total clusters across all stages (the admission request).
     pub fn clusters(&self) -> usize {
         self.stages.iter().map(|s| s.clusters).sum()
     }
 
     /// Groups stages into dependency **levels**: stage `j` sits one
-    /// level past the deepest earlier stage whose outputs feed `j`'s
-    /// inputs. Stages in one level share no data edges, so the whole
-    /// level can execute as a single SoA region sweep without changing
-    /// any value the sequential stage walk would produce. The level
-    /// count is the pipeline depth the Fig. 7(d) overlap fills.
+    /// level past the deepest earlier stage `i` that writes a value `j`
+    /// reads (RAW), reads a value `j` writes (WAR), writes a value `j`
+    /// writes (WAW), or is named in `j`'s guard. Stages in one level
+    /// share no such edge, so the whole level can execute as a single
+    /// SoA region sweep, and whichever of its stages a dataset's guards
+    /// select, every value equals the one the sequential program-order
+    /// walk produces. The level count is the pipeline depth the
+    /// Fig. 7(d) overlap fills.
     pub fn levels(&self) -> Vec<Vec<usize>> {
         let stages = &self.stages;
+        fn names<T>(pairs: &[(String, T)], var: &str) -> bool {
+            pairs.iter().any(|(v, _)| v == var)
+        }
         let mut level = vec![0usize; stages.len()];
         for j in 0..stages.len() {
-            let mut lv = 0;
-            for (var, _) in &stages[j].inputs {
-                // The value stage j reads is whatever the *latest*
-                // earlier producer of `var` wrote — depend on that one.
-                for i in (0..j).rev() {
-                    if stages[i].outputs.iter().any(|(v, _)| v == var) {
-                        lv = lv.max(level[i] + 1);
-                        break;
-                    }
+            let sj = &stages[j];
+            for i in 0..j {
+                let si = &stages[i];
+                let depends = sj.guard.iter().any(|&(k, _)| k == i)
+                    || sj.inputs.iter().any(|(v, _)| names(&si.outputs, v))
+                    || sj
+                        .outputs
+                        .iter()
+                        .any(|(v, _)| names(&si.inputs, v) || names(&si.outputs, v));
+                if depends {
+                    level[j] = level[j].max(level[i] + 1);
                 }
             }
-            level[j] = lv;
         }
         let depth = level.iter().max().map_or(0, |m| m + 1);
         let mut groups = vec![Vec::new(); depth];
@@ -99,10 +152,138 @@ impl StagedProgram {
     }
 }
 
+/// Appends one stage per non-empty basic block of `stmts`, every one
+/// guarded by `guard`. A block ends at an `if`: its arms follow with the
+/// block's condition (true, false) added to their guard, then the rest
+/// of the list as the join.
+fn lower_stmts(stmts: &[Stmt], guard: &[(usize, bool)], stages: &mut Vec<StagedStage>) {
+    let mut assigns = Vec::new();
+    for (i, stmt) in stmts.iter().enumerate() {
+        match stmt {
+            Stmt::Assign(var, e) => assigns.push((var.clone(), e.clone())),
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                let at = stages.len();
+                stages.push(lower_block(at, assigns, Some(cond.clone()), guard));
+                let arm = |taken| [guard, &[(at, taken)]].concat();
+                lower_stmts(then_branch, &arm(true), stages);
+                lower_stmts(else_branch, &arm(false), stages);
+                lower_stmts(&stmts[i + 1..], guard, stages);
+                return;
+            }
+        }
+    }
+    if !assigns.is_empty() {
+        stages.push(lower_block(stages.len(), assigns, None, guard));
+    }
+}
+
+/// Compiles one basic block to stage `id`:
+///
+/// * every live-in `Const` becomes an *addressed memory load* from its
+///   own mailbox memory block (address 0), driven by a zero-address
+///   constant;
+/// * every live-out (and the condition) gains a `Pass` probe so its
+///   value is always observable as a tap.
+fn lower_block(
+    id: usize,
+    assigns: Vec<(String, Expr)>,
+    cond: Option<Expr>,
+    guard: &[(usize, bool)],
+) -> StagedStage {
+    let dp = BlockDatapath::compile(&BasicBlock {
+        id,
+        assigns,
+        cond,
+        terminator: Terminator::End,
+    });
+    let mut objects = dp.objects;
+    let mut elements: Vec<GlobalConfigElement> = dp.stream.elements().to_vec();
+    let mut next_id = objects.iter().map(|o| o.id.0).max().unwrap_or(0) + 1;
+    let mut fresh = |objects: &mut Vec<LogicalObject>, cfg: LocalConfig| {
+        let id = ObjectId(next_id);
+        next_id += 1;
+        objects.push(LogicalObject::compute(id, cfg));
+        id
+    };
+
+    // Live-ins: Const -> addressed Load from mailbox block i.
+    let mut inputs = Vec::with_capacity(dp.inputs.len());
+    for (i, (var, const_id)) in dp.inputs.into_iter().enumerate() {
+        let addr_obj = fresh(
+            &mut objects,
+            LocalConfig::with_imm(Operation::Const, Word(0)),
+        );
+        // Replace the const object with a memory load bound to block i.
+        if let Some(obj) = objects.iter_mut().find(|o| o.id == const_id) {
+            *obj = LogicalObject::memory(const_id, LocalConfig::op(Operation::Load))
+                .with_init(vec![Word(0), Word(i as u64), Word(0)]);
+        }
+        // Rewrite its stream element from nullary to addressed.
+        for e in elements.iter_mut() {
+            if e.sink == const_id && e.src_lhs.is_none() {
+                e.src_lhs = Some(addr_obj);
+            }
+        }
+        inputs.push((var, i));
+    }
+
+    // Probes for outputs and condition.
+    let mut probe = |objects: &mut Vec<LogicalObject>, src: ObjectId| {
+        let tap = fresh(objects, LocalConfig::op(Operation::Pass));
+        elements.push(GlobalConfigElement::unary(tap, src));
+        tap
+    };
+    let outputs = dp
+        .outputs
+        .into_iter()
+        .map(|(var, obj)| (var, probe(&mut objects, obj)))
+        .collect();
+    let cond = dp.cond.map(|c| probe(&mut objects, c));
+
+    StagedStage {
+        name: format!("block{id}"),
+        clusters: 4,
+        objects,
+        stream: Arc::new(elements.into_iter().collect()),
+        inputs,
+        outputs,
+        cond,
+        guard: guard.to_vec(),
+    }
+}
+
+/// Every variable `stmts` name, read or written, in first-mention order.
+fn named_vars(stmts: &[Stmt], vars: &mut Vec<String>) {
+    for stmt in stmts {
+        match stmt {
+            Stmt::Assign(var, e) => {
+                e.free_vars(vars);
+                if !vars.contains(var) {
+                    vars.push(var.clone());
+                }
+            }
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                cond.free_vars(vars);
+                named_vars(then_branch, vars);
+                named_vars(else_branch, vars);
+            }
+        }
+    }
+}
+
 /// Statistics of one staged run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StagedRunStats {
-    /// Stages executed (activations).
+    /// Stages executed (activations); a stage whose guard failed is
+    /// not one.
     pub stages_executed: u64,
     /// Mailbox words written between stages.
     pub mailbox_writes: u64,
@@ -120,19 +301,21 @@ pub struct PipelineRunStats {
     pub datasets: u64,
     /// Wavefront ticks the drain took (`depth + datasets − 1`).
     pub ticks: u64,
-    /// Stage executions across all ticks (`datasets × stages`).
+    /// Stage executions across all ticks (`datasets × stages` less the
+    /// stages whose guard failed).
     pub stages_executed: u64,
     /// Mailbox words written between stages.
     pub mailbox_writes: u64,
     /// Total datapath execution cycles across all stage slots.
     pub exec_cycles: u64,
-    /// Total configuration cycles. Each stage configures **once** (its
-    /// datapath stays resident across datasets), so this is the
-    /// per-stage cost, not `datasets ×` it — the pipelining win.
+    /// Total configuration cycles. Each stage configures **once**, on
+    /// its first execution (its datapath stays resident across
+    /// datasets), so this is the per-stage cost, not `datasets ×` it —
+    /// the pipelining win. A stage no dataset ran never configures.
     pub config_cycles: u64,
     /// Busy stage-slots over available stage-slots, ×1000: how full the
     /// wavefront kept the placed regions (Fig. 7(d) steady state →
-    /// 1000 as `datasets → ∞`).
+    /// 1000 as `datasets → ∞` when no guard fails).
     pub utilization_milli: u64,
 }
 
@@ -281,8 +464,19 @@ impl StagedExecutor {
         Ok((inputs.len() as u64, cycles))
     }
 
-    /// Reads stage `j`'s probe taps from `report` into `env` and
-    /// deactivates its processor. A probe that collected nothing is an
+    /// Whether stage `j` runs for a dataset whose stages so far left
+    /// condition truths `truth` (`None` = did not run, or has no
+    /// condition): every guard entry must hold.
+    fn guard_holds(&self, j: usize, truth: &[Option<bool>]) -> bool {
+        self.program.stages[j]
+            .guard
+            .iter()
+            .all(|&(k, flag)| truth.get(k) == Some(&Some(flag)))
+    }
+
+    /// Reads stage `j`'s probe taps from `report` into `env`, its
+    /// condition tap into `truth[j]`, and deactivates its processor. A
+    /// probe that collected nothing is an
     /// [`ApError::ExecutionTimeout`](vlsi_ap::ApError::ExecutionTimeout).
     fn stage_out(
         &self,
@@ -290,16 +484,23 @@ impl StagedExecutor {
         j: usize,
         report: &ExecutionReport,
         env: &mut [i64],
+        truth: &mut [Option<bool>],
     ) -> Result<(), CoreError> {
-        for &(var, tap) in &self.plans[j].outputs {
-            let vals = report
+        let first = |tap: ObjectId| {
+            report
                 .taps
                 .get(&tap)
-                .filter(|v| !v.is_empty())
+                .and_then(|v| v.first())
+                .map(|w| w.as_i64())
                 .ok_or(CoreError::Ap(vlsi_ap::ApError::ExecutionTimeout {
                     cycles: report.cycles,
-                }))?;
-            env[var] = vals[0].as_i64();
+                }))
+        };
+        for &(var, tap) in &self.plans[j].outputs {
+            env[var] = first(tap)?;
+        }
+        if let Some(tap) = self.program.stages[j].cond {
+            truth[j] = Some(first(tap)? != 0);
         }
         chip.deactivate(self.procs[j])
     }
@@ -308,9 +509,9 @@ impl StagedExecutor {
     /// outputs (in [`StagedProgram::outputs`] order; absent values read
     /// as 0, matching the mailbox default) and run statistics.
     ///
-    /// Stages execute level by level: each level's mailboxes are
-    /// written and its processors activated and configured in stage
-    /// order, then the whole level runs as one
+    /// Stages execute level by level: each level's stages whose guard
+    /// holds get their mailboxes written and their processors activated
+    /// and configured in stage order, then they run as one
     /// [`VlsiChip::execute_batch`] region sweep, then taps are read
     /// back in stage order. Independent stages therefore advance in one
     /// SoA sweep instead of one `execute` call each, while every value,
@@ -321,19 +522,28 @@ impl StagedExecutor {
         inputs: &HashMap<String, i64>,
     ) -> Result<(Vec<i64>, StagedRunStats), CoreError> {
         let mut env = self.env_of(inputs);
+        let mut truth = vec![None; self.procs.len()];
         let mut stats = StagedRunStats::default();
+        let mut ran = Vec::new();
         for level in self.levels() {
+            ran.clear();
             for &j in level {
-                let (writes, cycles) = self.stage_in(chip, j, &env, true)?;
-                stats.mailbox_writes += writes;
-                stats.config_cycles += cycles;
+                if self.guard_holds(j, &truth) {
+                    let (writes, cycles) = self.stage_in(chip, j, &env, true)?;
+                    stats.mailbox_writes += writes;
+                    stats.config_cycles += cycles;
+                    ran.push(j);
+                }
             }
-            let ids: Vec<ProcessorId> = level.iter().map(|&j| self.procs[j]).collect();
+            if ran.is_empty() {
+                continue;
+            }
+            let ids: Vec<ProcessorId> = ran.iter().map(|&j| self.procs[j]).collect();
             let reports = chip.execute_batch(&ids, 1, 1_000_000)?;
-            for (&j, report) in level.iter().zip(&reports) {
+            for (&j, report) in ran.iter().zip(&reports) {
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
-                self.stage_out(chip, j, report, &mut env)?;
+                self.stage_out(chip, j, report, &mut env, &mut truth)?;
             }
         }
         Ok((self.outputs_from(&env), stats))
@@ -368,8 +578,11 @@ impl StagedExecutor {
     /// double-buffer, holding each value between the producer's
     /// readback and the consumer's staging.
     ///
-    /// Each stage is configured **once**, on the tick its first dataset
-    /// arrives, and its datapath then stays resident: staged streams
+    /// A stage whose guard fails for a dataset is skipped on that
+    /// dataset's tick; the level schedule is the same for every dataset.
+    ///
+    /// Each stage is configured **once**, on the first tick it runs,
+    /// and its datapath then stays resident: staged streams
     /// read their mailboxes through *addressed* loads (no stream
     /// pointers advance) and every engine run starts its transient
     /// dataflow state cleared, so re-executing the resident datapath on a
@@ -402,14 +615,16 @@ impl StagedExecutor {
             ..PipelineRunStats::default()
         };
         let mut envs: Vec<Vec<i64>> = datasets.iter().map(|ds| self.env_of(ds)).collect();
+        let stages = self.procs.len();
+        let mut truths = vec![vec![None; stages]; n];
         if depth == 0 || n == 0 {
             let outputs = envs.iter().map(|env| self.outputs_from(env)).collect();
             return Ok((outputs, stats));
         }
         let ticks = depth + n - 1;
         stats.ticks = ticks as u64;
-        let mut configured = vec![false; self.program.stages.len()];
-        let mut busy_ticks = vec![0u64; self.program.stages.len()];
+        let mut configured = vec![false; stages];
+        let mut busy_ticks = vec![0u64; stages];
         // In-flight (stage, dataset) slots, rebuilt each tick in
         // ascending (level, stage) order — the deterministic drain order.
         let mut active: Vec<(usize, usize)> = Vec::new();
@@ -422,12 +637,18 @@ impl StagedExecutor {
                 }
                 let d = t - l;
                 for &j in level {
+                    if !self.guard_holds(j, &truths[d]) {
+                        continue;
+                    }
                     let (writes, cycles) = self.stage_in(chip, j, &envs[d], !configured[j])?;
                     stats.mailbox_writes += writes;
                     stats.config_cycles += cycles;
                     configured[j] = true;
                     active.push((j, d));
                 }
+            }
+            if active.is_empty() {
+                continue;
             }
             ids.clear();
             ids.extend(active.iter().map(|&(j, _)| self.procs[j]));
@@ -436,10 +657,10 @@ impl StagedExecutor {
                 stats.exec_cycles += report.cycles;
                 stats.stages_executed += 1;
                 busy_ticks[j] += 1;
-                self.stage_out(chip, j, report, &mut envs[d])?;
+                self.stage_out(chip, j, report, &mut envs[d], &mut truths[d])?;
             }
         }
-        let slots = stats.ticks * self.program.stages.len() as u64;
+        let slots = stats.ticks * stages as u64;
         let busy: u64 = busy_ticks.iter().sum();
         stats.utilization_milli = (busy * 1000).checked_div(slots).unwrap_or(0);
         let tel = chip.telemetry();
@@ -482,6 +703,8 @@ mod tests {
     use super::*;
     use vlsi_object::{GlobalConfigElement, LocalConfig, Operation};
     use vlsi_topology::{Cluster, Coord};
+    use vlsi_workloads::figure7;
+    use vlsi_workloads::program::BinOp;
 
     /// Hand-build a two-stage program computing `(a + b) * c`:
     /// stage 0 computes `t = a + b`, stage 1 computes `out = t * c`.
@@ -527,6 +750,8 @@ mod tests {
                 stream,
                 inputs: vec![("a".into(), 0), ("b".into(), 1)],
                 outputs: vec![("t".into(), probe)],
+                cond: None,
+                guard: Vec::new(),
             }
         };
         // Stage 1: mailbox loads t (block 0), c (block 1); out = t * c.
@@ -570,6 +795,8 @@ mod tests {
                 stream,
                 inputs: vec![("t".into(), 0), ("c".into(), 1)],
                 outputs: vec![("out".into(), probe)],
+                cond: None,
+                guard: Vec::new(),
             }
         };
         StagedProgram {
@@ -675,6 +902,8 @@ mod tests {
                 stream,
                 inputs: vec![("a".into(), 0), ("b".into(), 1)],
                 outputs: vec![(out_var.into(), probe)],
+                cond: None,
+                guard: Vec::new(),
             }
         };
         let mut join = arith_stage("join", Operation::IAdd, "out");
@@ -843,6 +1072,127 @@ mod tests {
         let (outs, _) = exec.run_pipelined(&mut chip, &datasets).unwrap();
         assert_eq!(outs, vec![vec![0, 2], vec![0, 0]]);
         exec.release(&mut chip).unwrap();
+    }
+
+    /// `if (x > y) { z = x } else { z = y }; x = 7`. The trailing stage
+    /// reads nothing, yet it overwrites `x`, which both the condition
+    /// and the then-arm read (WAR), and the arms both write `z` (WAW).
+    fn overwrite_after_branch() -> Program {
+        Program {
+            stmts: vec![
+                Stmt::If {
+                    cond: Expr::bin(BinOp::Gt, Expr::var("x"), Expr::var("y")),
+                    then_branch: vec![Stmt::Assign("z".into(), Expr::var("x"))],
+                    else_branch: vec![Stmt::Assign("z".into(), Expr::var("y"))],
+                },
+                Stmt::Assign("x".into(), Expr::Const(7)),
+            ],
+        }
+    }
+
+    /// A then-arm two stages deep (a nested if) beside a one-stage
+    /// else-arm, joined by a stage reading both arms' results.
+    fn nested_then_arm() -> Program {
+        Program {
+            stmts: vec![
+                Stmt::If {
+                    cond: Expr::bin(BinOp::Gt, Expr::var("a"), Expr::Const(0)),
+                    then_branch: vec![Stmt::If {
+                        cond: Expr::bin(BinOp::Gt, Expr::var("b"), Expr::Const(0)),
+                        then_branch: vec![Stmt::Assign("r".into(), Expr::Const(1))],
+                        else_branch: vec![Stmt::Assign("r".into(), Expr::Const(2))],
+                    }],
+                    else_branch: vec![Stmt::Assign("s".into(), Expr::Const(3))],
+                },
+                Stmt::Assign(
+                    "t".into(),
+                    Expr::bin(BinOp::Add, Expr::var("r"), Expr::var("s")),
+                ),
+            ],
+        }
+    }
+
+    /// Runs `program` lowered, sequentially and pipelined, on `datasets`
+    /// and checks every named variable against the interpreter.
+    fn check_against_interpreter(program: &Program, datasets: &[HashMap<String, i64>]) {
+        let staged = StagedProgram::from_program(program);
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let exec = StagedExecutor::deploy(&mut chip, staged.clone()).unwrap();
+        let expect: Vec<Vec<i64>> = datasets
+            .iter()
+            .map(|ds| {
+                let mut env = ds.clone();
+                program.interpret(&mut env);
+                let value = |v: &String| env.get(v).copied().unwrap_or(0);
+                staged.outputs.iter().map(|(_, v)| value(v)).collect()
+            })
+            .collect();
+        let seq: Vec<Vec<i64>> = datasets
+            .iter()
+            .map(|ds| exec.run(&mut chip, ds).unwrap().0)
+            .collect();
+        assert_eq!(seq, expect, "run");
+        let (pipe, _) = exec.run_pipelined(&mut chip, datasets).unwrap();
+        assert_eq!(pipe, expect, "run_pipelined");
+        exec.release(&mut chip).unwrap();
+        assert_eq!(chip.free_clusters(), 64);
+    }
+
+    fn env(pairs: &[(&str, i64)]) -> HashMap<String, i64> {
+        pairs.iter().map(|&(v, x)| (v.to_string(), x)).collect()
+    }
+
+    #[test]
+    fn from_program_guards_each_arm_on_its_condition() {
+        let staged = StagedProgram::from_program(&figure7::program());
+        let guards: Vec<_> = staged.stages.iter().map(|s| s.guard.clone()).collect();
+        // Entry, then-arm, else-arm, buffer — in program order.
+        assert_eq!(
+            guards,
+            vec![vec![], vec![(0, true)], vec![(0, false)], vec![]]
+        );
+        assert!(staged.stages[0].cond.is_some());
+        assert!(staged.stages[1..].iter().all(|s| s.cond.is_none()));
+        assert_eq!(staged.clusters(), 16);
+        let vars: Vec<&str> = staged.outputs.iter().map(|(v, _)| v.as_str()).collect();
+        assert_eq!(vars, ["x", "y", "z", "buff"]);
+    }
+
+    #[test]
+    fn a_trailing_overwrite_waits_for_every_earlier_reader() {
+        let program = overwrite_after_branch();
+        let staged = StagedProgram::from_program(&program);
+        // The arms write the same z (WAW); x = 7 overwrites what the
+        // condition and the then-arm read (WAR).
+        assert_eq!(staged.levels(), vec![vec![0], vec![1], vec![2, 3]]);
+        check_against_interpreter(
+            &program,
+            &[env(&[("x", 3), ("y", 1)]), env(&[("x", 1), ("y", 3)])],
+        );
+        let mut chip = VlsiChip::new(8, 8, Cluster::default());
+        let exec = StagedExecutor::deploy(&mut chip, staged).unwrap();
+        let (out, stats) = exec.run(&mut chip, &env(&[("x", 3), ("y", 1)])).unwrap();
+        assert_eq!(out, vec![7, 1, 3], "x, y, z: the then-arm read x = 3");
+        assert_eq!(stats.stages_executed, 3, "the else-arm stays dark");
+    }
+
+    #[test]
+    fn a_join_waits_for_both_arms_of_unequal_depth() {
+        let program = nested_then_arm();
+        let staged = StagedProgram::from_program(&program);
+        let levels = staged.levels();
+        let level_of = |j: usize| levels.iter().position(|l| l.contains(&j)).unwrap();
+        // Stages: 0 `a > 0`, 1 `b > 0`, 2 `r = 1`, 3 `r = 2`, 4 `s = 3`,
+        // 5 `t = r + s`. The one-stage else-arm sits beside the inner
+        // condition; the join lies past the deepest arm stage.
+        assert_eq!(level_of(4), level_of(1));
+        assert!(level_of(5) > level_of(3) && level_of(3) > level_of(2));
+        assert!(level_of(5) > level_of(4));
+        let datasets: Vec<_> = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+            .iter()
+            .map(|&(a, b)| env(&[("a", a), ("b", b), ("r", 10), ("s", 20)]))
+            .collect();
+        check_against_interpreter(&program, &datasets);
     }
 
     /// Pipeline occupancy telemetry lands on the chip's handle,

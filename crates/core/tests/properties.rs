@@ -2,12 +2,64 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use vlsi_core::{BlockExecutor, CoreError, ProcState, VlsiChip};
+use vlsi_core::{CoreError, ProcState, StagedExecutor, StagedProgram, VlsiChip};
+use vlsi_prng::Prng;
 use vlsi_topology::{Cluster, Coord, Region};
 use vlsi_workloads::program::{BinOp, Expr, Program, Stmt};
 
 fn chip() -> VlsiChip {
     VlsiChip::new(8, 8, Cluster::default())
+}
+
+/// The variables every dataset supplies.
+const INPUTS: [&str; 3] = ["a", "b", "c"];
+/// Every variable a random program may name: the inputs plus two that
+/// only the program sets.
+const VARS: [&str; 5] = ["a", "b", "c", "t", "u"];
+
+/// A random expression of at most `depth` operator levels.
+fn random_expr(rng: &mut Prng, depth: u32) -> Expr {
+    match rng.gen_range(0..4u32) {
+        0 => Expr::Const(rng.gen_range(-5..6i64)),
+        1 if depth > 0 => {
+            let op = *rng
+                .choose(&[
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::Gt,
+                    BinOp::Lt,
+                    BinOp::Eq,
+                ])
+                .expect("non-empty");
+            Expr::bin(op, random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+        }
+        _ => Expr::var(rng.choose(&VARS).expect("non-empty")),
+    }
+}
+
+/// A random statement list at if-nesting `depth` (ifs nest up to 3
+/// deep; lists, and so arms, may be empty).
+fn random_stmts(rng: &mut Prng, depth: u32) -> Vec<Stmt> {
+    (0..rng.gen_range(0..=3usize))
+        .map(|_| {
+            if depth < 3 && rng.gen_bool(0.4) {
+                random_if(rng, depth)
+            } else {
+                let var = *rng.choose(&VARS).expect("non-empty");
+                Stmt::Assign(var.into(), random_expr(rng, 2))
+            }
+        })
+        .collect()
+}
+
+/// A random `if` at nesting `depth`, its arms one level deeper.
+fn random_if(rng: &mut Prng, depth: u32) -> Stmt {
+    Stmt::If {
+        cond: random_expr(rng, 2),
+        then_branch: random_stmts(rng, depth + 1),
+        else_branch: random_stmts(rng, depth + 1),
+    }
 }
 
 proptest! {
@@ -42,38 +94,61 @@ proptest! {
         }
     }
 
-    /// The full multi-processor execution of a random two-armed program
-    /// matches the IR interpreter for every input.
+    /// Random structured programs — ifs nested up to depth 3, empty
+    /// arms, inputs reassigned inside arms, a trailing block overwriting
+    /// an input the arms read — lowered to guarded stages compute every
+    /// variable they name exactly as the IR interpreter does, run
+    /// sequentially and pipelined, and both walks cost the same
+    /// execution cycles.
     #[test]
-    fn partitioned_execution_matches_interpreter(
-        x in -100i64..100, y in -100i64..100,
-        k1 in -10i64..10, k2 in -10i64..10,
-    ) {
-        let p = Program {
-            stmts: vec![
-                Stmt::If {
-                    cond: Expr::bin(BinOp::Lt, Expr::var("x"), Expr::var("y")),
-                    then_branch: vec![Stmt::Assign(
-                        "r".into(),
-                        Expr::bin(BinOp::Mul, Expr::var("x"), Expr::Const(k1)),
-                    )],
-                    else_branch: vec![Stmt::Assign(
-                        "r".into(),
-                        Expr::bin(BinOp::Sub, Expr::var("y"), Expr::Const(k2)),
-                    )],
-                },
-                Stmt::Assign("out".into(), Expr::bin(BinOp::Add, Expr::var("r"), Expr::Const(1))),
-            ],
+    fn lowered_programs_match_interpreter(seed in any::<u64>()) {
+        let mut rng = Prng::seed_from_u64(seed);
+        let (program, staged) = loop {
+            let mut stmts = random_stmts(&mut rng, 0);
+            let at = rng.gen_range(0..=stmts.len());
+            stmts.insert(at, random_if(&mut rng, 0));
+            // The trailing block overwrites an input the arms may read.
+            let input = *rng.choose(&INPUTS).expect("non-empty");
+            stmts.push(Stmt::Assign(input.into(), random_expr(&mut rng, 1)));
+            let program = Program { stmts };
+            let staged = StagedProgram::from_program(&program);
+            if staged.stages.len() <= 12 {
+                break (program, staged);
+            }
         };
-        let mut env = HashMap::from([("x".to_string(), x), ("y".to_string(), y)]);
-        p.interpret(&mut env);
+        let datasets: Vec<HashMap<String, i64>> = (0..4)
+            .map(|_| {
+                INPUTS
+                    .iter()
+                    .map(|v| (v.to_string(), rng.gen_range(-20..20i64)))
+                    .collect()
+            })
+            .collect();
+        let expected: Vec<Vec<i64>> = datasets
+            .iter()
+            .map(|ds| {
+                let mut env = ds.clone();
+                program.interpret(&mut env);
+                // A variable only a dark arm assigns reads the mailbox
+                // default, 0.
+                let value = |v: &String| env.get(v).copied().unwrap_or(0);
+                staged.outputs.iter().map(|(_, v)| value(v)).collect()
+            })
+            .collect();
 
         let mut c = chip();
-        let exec = BlockExecutor::deploy(&mut c, p.partition()).unwrap();
-        let inputs = HashMap::from([("x".to_string(), x), ("y".to_string(), y)]);
-        let (got, _) = exec.run(&mut c, &inputs).unwrap();
-        prop_assert_eq!(got["out"], env["out"]);
-        prop_assert_eq!(got["r"], env["r"]);
+        let exec = StagedExecutor::deploy(&mut c, staged).unwrap();
+        let mut seq_cycles = 0;
+        for (ds, want) in datasets.iter().zip(&expected) {
+            let (got, stats) = exec.run(&mut c, ds).unwrap();
+            prop_assert_eq!(&got, want, "run on {:?}: {:?}", ds, program);
+            seq_cycles += stats.exec_cycles;
+        }
+        let (got, stats) = exec.run_pipelined(&mut c, &datasets).unwrap();
+        prop_assert_eq!(&got, &expected, "run_pipelined: {:?}", program);
+        prop_assert_eq!(stats.exec_cycles, seq_cycles);
+        exec.release(&mut c).unwrap();
+        prop_assert_eq!(c.free_clusters(), 64);
     }
 
     /// Chip fuzz: arbitrary interleavings of gather-by-count, release,

@@ -29,15 +29,20 @@ pub enum Workload {
         /// Reference output; a mismatch fails the job.
         expected: Option<Vec<u64>>,
     },
-    /// A basic-block program (Figure 7): partitioned, each block deployed
-    /// on its own 4-cluster processor, datasets pushed through the block
-    /// pipeline.
+    /// A basic-block program (Figure 7): lowered at admission by
+    /// [`StagedProgram::from_program`] to one guarded 4-cluster stage per
+    /// non-empty block, then run like a staged job — the dataset batch
+    /// goes through one pipelined wavefront, and the interpreter
+    /// supplies each dataset's reference value.
     Blocks {
         /// The program to partition and deploy.
         program: Program,
         /// Input environments, one per dataset.
         datasets: Vec<HashMap<String, i64>>,
-        /// The variable to read out of each final environment.
+        /// The variable to read out of each final environment. One the
+        /// program only reads passes its dataset value through; one
+        /// that is never set (named by neither the program nor the
+        /// dataset) fails the job.
         result_var: String,
     },
     /// A compiler-emitted staged dataflow program (vlsi-compile): stages
@@ -79,8 +84,9 @@ pub struct JobSpec {
     /// Human-readable name (for traces and reports).
     pub name: String,
     /// Clusters requested. For [`Workload::Blocks`] this must be at least
-    /// `4 × non-empty blocks` (the per-block processors the deploy
-    /// gathers); [`JobSpec::for_blocks`] computes it.
+    /// `4 × non-empty blocks` (the lowered program's
+    /// [`StagedProgram::clusters`], one processor per stage);
+    /// [`JobSpec::for_blocks`] computes it.
     pub clusters: usize,
     /// The work itself.
     pub workload: Workload,
@@ -132,7 +138,8 @@ impl JobSpec {
     }
 
     /// A basic-block program job; the cluster request is derived from the
-    /// partition (4 clusters per non-empty block).
+    /// partition (4 clusters per non-empty block, which equals the
+    /// lowered program's [`StagedProgram::clusters`]).
     pub fn for_blocks(
         name: impl Into<String>,
         program: Program,
@@ -259,8 +266,10 @@ pub struct JobRecord {
     pub spec: JobSpec,
     /// Current lifecycle state.
     pub state: JobState,
-    /// Processors currently held (one for stream/idle; one per block for
-    /// blocks jobs). Empty unless running.
+    /// Processors currently held, in stage order: one for stream/idle
+    /// jobs, one per stage for staged jobs and per non-empty block for
+    /// blocks jobs (a dark arm's processor is held too). Empty unless
+    /// running.
     pub procs: Vec<ProcessorId>,
     /// Output, once completed.
     pub output: Option<JobOutput>,

@@ -13,14 +13,14 @@
 //! [`submit`]: Runtime::submit
 //! [`tick`]: Runtime::tick
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use vlsi_core::{BlockExecutor, CoreError, ProcState, ProcessorId, VlsiChip};
+use vlsi_core::{CoreError, ProcState, ProcessorId, StagedExecutor, StagedProgram, VlsiChip};
 use vlsi_faults::{Fault, FaultKind, FaultPlan};
 use vlsi_object::Word;
 use vlsi_telemetry::TelemetryHandle;
 use vlsi_topology::Coord;
-use vlsi_workloads::StreamKernel;
+use vlsi_workloads::{Program, StreamKernel};
 
 use crate::error::RuntimeError;
 use crate::events::{EventKind, RuntimeEvent};
@@ -814,12 +814,40 @@ impl Runtime {
                 program,
                 datasets,
                 result_var,
-            } => self.admit_blocks(job_id, clusters, attempts, program, datasets, result_var),
+            } => match lower_blocks(&program, &datasets, &result_var) {
+                Ok((staged, expected)) => self.admit_staged(
+                    job_id,
+                    clusters,
+                    attempts,
+                    staged,
+                    datasets,
+                    Some(expected),
+                    |outs| JobOutput::Blocks(outs.concat()),
+                ),
+                Err(detail) => {
+                    self.fail_job(
+                        job_id,
+                        RuntimeError::Workload {
+                            job: job_id,
+                            detail,
+                        },
+                    );
+                    Ok(())
+                }
+            },
             Workload::Staged {
                 program,
                 datasets,
                 expected,
-            } => self.admit_staged(job_id, clusters, attempts, program, datasets, expected),
+            } => self.admit_staged(
+                job_id,
+                clusters,
+                attempts,
+                program,
+                datasets,
+                expected,
+                JobOutput::Staged,
+            ),
         }
     }
 
@@ -946,108 +974,28 @@ impl Runtime {
         Ok(())
     }
 
-    fn admit_blocks(
-        &mut self,
-        job_id: JobId,
-        clusters: usize,
-        attempts: u32,
-        program: vlsi_workloads::Program,
-        datasets: Vec<std::collections::HashMap<String, i64>>,
-        result_var: String,
-    ) -> Result<(), RuntimeError> {
-        let mut exec = match self.deploy_blocks(&program) {
-            Some(e) => Some(e),
-            None if self.compact_for(clusters) => self.deploy_blocks(&program),
-            None => None,
-        };
-        let Some(exec) = exec.take() else {
-            self.back_off(job_id, attempts);
-            return Ok(());
-        };
-        let procs: Vec<ProcessorId> = (0..exec.processor_count())
-            .filter_map(|i| exec.processor_of(i))
-            .collect();
-
-        let mut outs = Vec::with_capacity(datasets.len());
-        let mut cfg_total = 0u64;
-        let mut exec_total = 0u64;
-        for ds in &datasets {
-            // Run on the chip and check against the program interpreter —
-            // the blocks-level analogue of the stream reference check.
-            let (env, run) = match exec.run(&mut self.chip, ds) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.release_all(&procs)?;
-                    self.fail_job(
-                        job_id,
-                        RuntimeError::Workload {
-                            job: job_id,
-                            detail: e.to_string(),
-                        },
-                    );
-                    return Ok(());
-                }
-            };
-            cfg_total += run.config_cycles;
-            exec_total += run.exec_cycles;
-            let mut reference = ds.clone();
-            program.interpret(&mut reference);
-            let got = env.get(&result_var).copied();
-            let expect = reference.get(&result_var).copied();
-            if got.is_none() || got != expect {
-                self.release_all(&procs)?;
-                self.fail_job(
-                    job_id,
-                    RuntimeError::Workload {
-                        job: job_id,
-                        detail: format!(
-                            "blocks result `{result_var}` = {got:?}, interpreter says {expect:?}"
-                        ),
-                    },
-                );
-                return Ok(());
-            }
-            outs.push(got.expect("checked above"));
-        }
-
-        let latency: u64 = procs
-            .iter()
-            .map(|p| self.chip.processor(*p).map(|sp| sp.config_latency))
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .sum();
-        let duration = self.to_ticks(latency + cfg_total + exec_total);
-        {
-            let rec = self.jobs.get_mut(&job_id).expect("queued job");
-            rec.output = Some(JobOutput::Blocks(outs));
-        }
-        self.mark_admitted(
-            job_id,
-            procs,
-            attempts,
-            false,
-            latency + cfg_total,
-            exec_total,
-            duration,
-        );
-        Ok(())
-    }
-
+    /// Deploys a staged program (every job that runs stages: compiled
+    /// and lowered basic-block programs alike), pushes the dataset batch
+    /// through it, checks each dataset's outputs against `expected`, and
+    /// wraps them with `output` for the job record.
+    #[allow(clippy::too_many_arguments)]
     fn admit_staged(
         &mut self,
         job_id: JobId,
         clusters: usize,
         attempts: u32,
-        program: vlsi_core::StagedProgram,
-        datasets: Vec<std::collections::HashMap<String, i64>>,
+        program: StagedProgram,
+        datasets: Vec<HashMap<String, i64>>,
         expected: Option<Vec<Vec<i64>>>,
+        output: fn(Vec<Vec<i64>>) -> JobOutput,
     ) -> Result<(), RuntimeError> {
-        let mut exec = match self.deploy_staged(&program) {
+        let deploy = |chip: &mut VlsiChip| StagedExecutor::deploy(chip, program.clone()).ok();
+        let exec = match deploy(&mut self.chip) {
             Some(e) => Some(e),
-            None if self.compact_for(clusters) => self.deploy_staged(&program),
+            None if self.compact_for(clusters) => deploy(&mut self.chip),
             None => None,
         };
-        let Some(exec) = exec.take() else {
+        let Some(exec) = exec else {
             self.back_off(job_id, attempts);
             return Ok(());
         };
@@ -1075,8 +1023,9 @@ impl Runtime {
         let cfg_total = run.config_cycles;
         let exec_total = run.exec_cycles;
         // The compiler hands down the netlist evaluator's reference
-        // outputs — the staged analogue of the stream/blocks checks,
-        // verified for every dataset in the batch.
+        // outputs, and a blocks job the interpreter's — the staged
+        // analogue of the stream check, verified for every dataset in
+        // the batch.
         for (i, out) in outs.iter().enumerate() {
             if let Some(exp) = expected.as_ref().and_then(|e| e.get(i)) {
                 if out != exp {
@@ -1104,7 +1053,7 @@ impl Runtime {
         let duration = self.to_ticks(latency + cfg_total + exec_total);
         {
             let rec = self.jobs.get_mut(&job_id).expect("queued job");
-            rec.output = Some(JobOutput::Staged(outs));
+            rec.output = Some(output(outs));
         }
         self.mark_admitted(
             job_id,
@@ -1116,38 +1065,6 @@ impl Runtime {
             duration,
         );
         Ok(())
-    }
-
-    /// Deploys a staged program, releasing any partially-gathered
-    /// processors if the deploy fails midway (the executor rolls back
-    /// its own gathers; this exists for symmetry with `deploy_blocks`
-    /// and to own the clone).
-    fn deploy_staged(
-        &mut self,
-        program: &vlsi_core::StagedProgram,
-    ) -> Option<vlsi_core::StagedExecutor> {
-        vlsi_core::StagedExecutor::deploy(&mut self.chip, program.clone()).ok()
-    }
-
-    /// Deploys a program's blocks, releasing any partially-gathered
-    /// processors if the deploy fails midway.
-    fn deploy_blocks(&mut self, program: &vlsi_workloads::Program) -> Option<BlockExecutor> {
-        let before: Vec<ProcessorId> = self.chip.processors().map(|p| p.id).collect();
-        match BlockExecutor::deploy(&mut self.chip, program.partition()) {
-            Ok(exec) => Some(exec),
-            Err(_) => {
-                let leaked: Vec<ProcessorId> = self
-                    .chip
-                    .processors()
-                    .map(|p| p.id)
-                    .filter(|id| !before.contains(id))
-                    .collect();
-                for id in leaked {
-                    let _ = self.chip.release_processor(id);
-                }
-                None
-            }
-        }
     }
 
     fn release_all(&mut self, procs: &[ProcessorId]) -> Result<(), RuntimeError> {
@@ -1332,11 +1249,38 @@ impl Runtime {
     }
 }
 
+/// Lowers a blocks job to a staged one: the program as guarded stages
+/// with `result_var` its only output, and per dataset the interpreter's
+/// value of it as the reference. A `result_var` some dataset leaves
+/// unset (named by neither the program nor the dataset) has no value to
+/// check: `Err` says which dataset.
+fn lower_blocks(
+    program: &Program,
+    datasets: &[HashMap<String, i64>],
+    result_var: &str,
+) -> Result<(StagedProgram, Vec<Vec<i64>>), String> {
+    let expected = datasets
+        .iter()
+        .enumerate()
+        .map(|(i, ds)| {
+            let mut env = ds.clone();
+            program.interpret(&mut env);
+            env.get(result_var)
+                .map(|&v| vec![v])
+                .ok_or_else(|| format!("blocks dataset {i}: `{result_var}` is never set"))
+        })
+        .collect::<Result<_, _>>()?;
+    let mut staged = StagedProgram::from_program(program);
+    staged.outputs = vec![(result_var.to_string(), result_var.to_string())];
+    Ok((staged, expected))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::Fifo;
     use vlsi_topology::Cluster;
+    use vlsi_workloads::program::{BinOp, Expr, Stmt};
 
     fn rt(pool_ttl: Option<u64>) -> Runtime {
         let chip = VlsiChip::new(8, 8, Cluster::default());
@@ -1349,6 +1293,89 @@ mod tests {
 
     fn idle(clusters: usize, ticks: u64) -> JobSpec {
         JobSpec::new("idle", clusters, Workload::Idle { ticks })
+    }
+
+    /// `if (x > y) {} else { z = y + 1 }; r = z + x`: the empty then-arm
+    /// is a block with no processor, sitting before the last block.
+    fn empty_then_arm() -> Program {
+        Program {
+            stmts: vec![
+                Stmt::If {
+                    cond: Expr::bin(BinOp::Gt, Expr::var("x"), Expr::var("y")),
+                    then_branch: Vec::new(),
+                    else_branch: vec![Stmt::Assign(
+                        "z".into(),
+                        Expr::bin(BinOp::Add, Expr::var("y"), Expr::Const(1)),
+                    )],
+                },
+                Stmt::Assign(
+                    "r".into(),
+                    Expr::bin(BinOp::Add, Expr::var("z"), Expr::var("x")),
+                ),
+            ],
+        }
+    }
+
+    fn dataset(x: i64, y: i64) -> HashMap<String, i64> {
+        HashMap::from([("x".to_string(), x), ("y".to_string(), y)])
+    }
+
+    #[test]
+    fn blocks_job_holds_and_releases_every_block_processor() {
+        let mut rt = rt(None);
+        let spec = JobSpec::for_blocks(
+            "empty-arm",
+            empty_then_arm(),
+            vec![dataset(5, 2), dataset(1, 4)],
+            "r",
+        );
+        assert_eq!(spec.clusters, 12, "three non-empty blocks");
+        assert_eq!(
+            spec.clusters,
+            StagedProgram::from_program(&empty_then_arm()).clusters()
+        );
+        let id = rt.submit(spec);
+        rt.run_until_idle(1_000).unwrap();
+        let rec = rt.job(id).unwrap();
+        assert_eq!(rec.state, JobState::Completed);
+        // Taken then-arm: z unset, r = 0 + 5; else-arm: r = (4 + 1) + 1.
+        assert_eq!(rec.output, Some(JobOutput::Blocks(vec![5, 6])));
+        let held: Vec<usize> = rt
+            .events()
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Admitted { job, procs, .. } if *job == id => Some(procs.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(held, vec![3], "one processor per non-empty block");
+        assert_eq!(rt.chip().free_clusters(), 64, "nothing leaked");
+    }
+
+    #[test]
+    fn blocks_result_var_passes_inputs_through_and_must_be_set() {
+        let mut rt = rt(None);
+        // `y` is only read: each dataset's value comes back unchanged.
+        let read_only = rt.submit(JobSpec::for_blocks(
+            "read-only",
+            empty_then_arm(),
+            vec![dataset(5, 2), dataset(1, 4)],
+            "y",
+        ));
+        // `w` is named by neither the program nor the datasets.
+        let unset = rt.submit(JobSpec::for_blocks(
+            "unset",
+            empty_then_arm(),
+            vec![dataset(5, 2)],
+            "w",
+        ));
+        rt.run_until_idle(1_000).unwrap();
+        let rec = rt.job(read_only).unwrap();
+        assert_eq!(rec.output, Some(JobOutput::Blocks(vec![2, 4])));
+        let rec = rt.job(unset).unwrap();
+        assert_eq!(rec.state, JobState::Failed);
+        assert!(matches!(rec.failure, Some(RuntimeError::Workload { .. })));
+        assert_eq!(rt.chip().free_clusters(), 64);
     }
 
     #[test]

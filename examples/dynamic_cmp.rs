@@ -13,7 +13,7 @@
 //! manageable").
 
 use std::collections::HashMap;
-use vlsi_processor::core::{BlockExecutor, VlsiChip};
+use vlsi_processor::core::{StagedExecutor, StagedProgram, VlsiChip};
 use vlsi_processor::object::Word;
 use vlsi_processor::topology::Cluster;
 use vlsi_processor::workloads::{figure7, StreamKernel};
@@ -57,28 +57,43 @@ fn main() {
     // --- the small processors are released; the app pipeline moves in ---
     chip.release_processor(small_a.id).unwrap();
     chip.release_processor(small_b.id).unwrap();
-    let blocks = figure7::program().partition();
-    let exec = BlockExecutor::deploy(&mut chip, blocks).expect("deploy");
+    let program = StagedProgram::from_program(&figure7::program());
+    let buff = program
+        .outputs
+        .iter()
+        .position(|(v, _)| v == figure7::RESULT_VAR)
+        .expect("the program names its result");
+    let exec = StagedExecutor::deploy(&mut chip, program).expect("deploy");
     let datasets: Vec<HashMap<String, i64>> = (0..10i64)
         .map(|i| HashMap::from([("x".to_string(), i), ("y".to_string(), 9 - i)]))
         .collect();
-    let (results, report) = exec.run_pipelined(&mut chip, &datasets).unwrap();
-    for (i, env) in results.iter().enumerate() {
+    let (results, stats) = exec.run_pipelined(&mut chip, &datasets).unwrap();
+    for (i, out) in results.iter().enumerate() {
         let i = i as i64;
-        assert_eq!(env[figure7::RESULT_VAR], figure7::reference(i, 9 - i));
+        assert_eq!(out[buff], figure7::reference(i, 9 - i));
     }
+    // Four levels deep (entry, then-arm, else-arm, buffer): a dataset
+    // enters every tick, so the batch drains in depth + N - 1 ticks.
+    assert_eq!(stats.ticks, 4 + 10 - 1);
+    assert_eq!(
+        stats.stages_executed,
+        3 * 10,
+        "one arm per dataset stays dark"
+    );
     println!(
-        "figure-7 pipeline over {} datasets: {} cycles sequential, {} pipelined ({:.2}x)",
-        report.datasets, report.sequential_cycles, report.pipelined_cycles, report.speedup
+        "figure-7 pipeline over {} datasets: {} wavefront ticks, {} stage runs, \
+         utilization {:.3}, {} exec + {} config cycles",
+        stats.datasets,
+        stats.ticks,
+        stats.stages_executed,
+        stats.utilization_milli as f64 / 1000.0,
+        stats.exec_cycles,
+        stats.config_cycles
     );
 
     // --- everything returns to the pool ---------------------------------
     chip.release_processor(big.id).unwrap();
-    for i in 0..4 {
-        if let Some(id) = exec.processor_of(i) {
-            chip.release_processor(id).unwrap();
-        }
-    }
+    exec.release(&mut chip).unwrap();
     println!(
         "released all processors; free={} fragmentation={:.2}",
         chip.free_clusters(),
